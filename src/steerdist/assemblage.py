@@ -8,10 +8,13 @@ Tr sigma is the outcome probability.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,9 +22,10 @@ from .errors import (
     BadMaskError,
     DimMismatchError,
     InvariantViolationError,
+    SchemaError,
     ScenarioMismatchError,
 )
-from .linalg import TOL_HERM, TOL_PSD, kron, partial_trace
+from .linalg import TOL_HERM, TOL_PSD, dagger, kron, partial_trace
 from .states import MeasurementSet, PureState, check_theta, pauli_xyz
 
 OUTCOMES = (0, 1)
@@ -62,6 +66,15 @@ def setting_groups(scenario: Scenario) -> tuple[tuple[tuple[int, ...], ...], ...
         for x in range(N_SETTINGS)
         for y in range(N_SETTINGS)
     )
+
+
+@functools.cache
+def group_rows(scenario: Scenario) -> np.ndarray:
+    """(G, outcomes) table of stack rows, one row per setting group."""
+    row = {k: i for i, k in enumerate(element_keys(scenario))}
+    rows = np.array([[row[k] for k in group] for group in setting_groups(scenario)])
+    rows.setflags(write=False)
+    return rows
 
 
 def _key_str(key: tuple[int, ...]) -> str:
@@ -114,11 +127,17 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Assemblage:
-    """Immutable table of unnormalized conditional states over the index grid."""
+    """Immutable table of unnormalized conditional states over the index grid.
+
+    The elements are stored once, as the read-only ``stack`` of shape
+    (E, d, d) in ``element_keys`` order; ``elements`` maps each key to its
+    row of the stack.
+    """
 
     scenario: Scenario
-    elements: dict[tuple[int, ...], np.ndarray]
+    elements: Mapping[tuple[int, ...], np.ndarray]
     theta: float | None = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scenario = Scenario(self.scenario)
@@ -130,17 +149,26 @@ class Assemblage:
             raise ScenarioMismatchError(
                 f"element grid mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
             )
-        table = {}
-        for k in keys:
+        stack = np.empty((len(keys), dim, dim), dtype=complex)
+        for i, k in enumerate(keys):
             m = np.asarray(self.elements[k], dtype=complex)
             if m.shape != (dim, dim):
                 raise DimMismatchError(
                     f"element {_key_str(k)} has shape {m.shape}, expected ({dim}, {dim})"
                 )
-            m.setflags(write=False)
-            table[k] = m
+            stack[i] = m
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            bad = keys[int(np.argmin(finite))]
+            raise InvariantViolationError(f"element {_key_str(bad)} has NaN or Inf entries")
+        stack.setflags(write=False)
         object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "elements", table)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", MappingProxyType(dict(zip(keys, stack))))
+
+    @classmethod
+    def _of_stack(cls, scenario: Scenario, stack: np.ndarray, theta=None) -> "Assemblage":
+        return cls(scenario, dict(zip(element_keys(scenario), stack)), theta)
 
     @property
     def element_dim(self) -> int:
@@ -149,14 +177,13 @@ class Assemblage:
     def element(self, *key: int) -> np.ndarray:
         return self.elements[tuple(key)]
 
-    def setting_totals(self) -> list[np.ndarray]:
+    def setting_totals(self) -> np.ndarray:
         """Sum of elements over outcomes, one matrix per setting group."""
-        return [
-            sum(self.elements[k] for k in group) for group in setting_groups(self.scenario)
-        ]
+        return self.stack[group_rows(self.scenario)].sum(axis=1)
 
     def probabilities(self) -> dict[tuple[int, ...], float]:
-        return {k: float(np.trace(m).real) for k, m in self.elements.items()}
+        traces = np.trace(self.stack, axis1=1, axis2=2).real
+        return dict(zip(element_keys(self.scenario), traces.tolist()))
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -172,14 +199,21 @@ class Assemblage:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Assemblage":
-        scenario = Scenario(doc["scenario"])
-        elements = {}
-        for key_s, rows in doc["elements"].items():
-            key = _key_from_str(key_s, scenario)
-            elements[key] = np.array(
-                [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-            )
-        return cls(scenario, elements, theta=doc.get("theta"))
+        """Parse the interchange format; any structural defect raises SchemaError."""
+        try:
+            scenario = Scenario(doc["scenario"])
+            elements = {
+                _key_from_str(key_s, scenario): np.array(
+                    [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+                )
+                for key_s, rows in doc["elements"].items()
+            }
+            theta = None if doc.get("theta") is None else float(doc["theta"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"malformed assemblage JSON ({type(exc).__name__}: {exc})"
+            ) from exc
+        return cls(scenario, elements, theta=theta)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -201,11 +235,13 @@ def convex_mix(weights, assemblages) -> Assemblage:
     scenario = assemblages[0].scenario
     if any(a.scenario is not scenario for a in assemblages):
         raise ScenarioMismatchError("cannot mix assemblages across scenarios")
-    mixed = {
-        k: sum(w * a.elements[k] for w, a in zip(weights, assemblages))
-        for k in element_keys(scenario)
-    }
-    return Assemblage(scenario, mixed)
+    mixed = sum(w * a.stack for w, a in zip(weights, assemblages))
+    return Assemblage._of_stack(scenario, mixed)
+
+
+def _flag(report: ValidationReport, check: str, devs, limit: float, wheres) -> None:
+    for i in np.flatnonzero(devs > limit):
+        report.violations.append(Violation(check, wheres[i], float(devs[i])))
 
 
 def validate(
@@ -219,59 +255,34 @@ def validate(
     deviation; an empty report means the assemblage is valid.
     """
     report = ValidationReport()
+    s = asm.stack
+    keys = [_key_str(k) for k in element_keys(asm.scenario)]
+    _flag(report, "hermitian", np.abs(s - dagger(s)).max(axis=(1, 2)), TOL_HERM, keys)
+    low = np.linalg.eigvalsh((s + dagger(s)) / 2)[:, 0]
+    _flag(report, "psd", -low, tol_psd, keys)
 
-    for k, m in asm.elements.items():
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > TOL_HERM:
-            report.violations.append(Violation("hermitian", _key_str(k), dev))
-    for k, m in asm.elements.items():
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if low < -tol_psd:
-            report.violations.append(Violation("psd", _key_str(k), -low))
-
-    groups = setting_groups(asm.scenario)
+    settings = [_key_str(g[0]).split("|")[1] for g in setting_groups(asm.scenario)]
     totals = asm.setting_totals()
-    for group, total in zip(groups, totals):
-        dev = abs(float(np.trace(total).real) - 1.0)
-        if dev > tol:
-            setting = "|".join(_key_str(group[0]).split("|")[1:])
-            report.violations.append(Violation("normalization", f"x={setting}", dev))
-
+    norm = np.abs(np.trace(totals, axis1=1, axis2=2).real - 1.0)
+    _flag(report, "normalization", norm, tol, [f"x={x}" for x in settings])
     # No-signaling: the reduced state summed over outcomes must not depend
     # on the measurement setting(s).
-    ref = totals[0]
-    for group, total in zip(groups[1:], totals[1:]):
-        dev = float(np.max(np.abs(total - ref)))
-        if dev > tol:
-            setting = "|".join(_key_str(group[0]).split("|")[1:])
-            report.violations.append(Violation("no_signaling", f"setting {setting}", dev))
+    drift = np.abs(totals[1:] - totals[0]).max(axis=(1, 2))
+    _flag(report, "no_signaling", drift, tol, [f"setting {x}" for x in settings[1:]])
 
     if asm.scenario is Scenario.TWO_SIDED:
-        # Bob-side marginal independent of Alice's setting, and vice versa.
-        for b in OUTCOMES:
-            for y in range(N_SETTINGS):
-                marg = [
-                    sum(asm.elements[(a, b, x, y)] for a in OUTCOMES)
-                    for x in range(N_SETTINGS)
-                ]
-                for x in range(1, N_SETTINGS):
-                    dev = float(np.max(np.abs(marg[x] - marg[0])))
-                    if dev > tol:
-                        report.violations.append(
-                            Violation("no_signaling", f"sum_a sigma(a,{b}|x,{y}) varies with x", dev)
-                        )
-        for a in OUTCOMES:
-            for x in range(N_SETTINGS):
-                marg = [
-                    sum(asm.elements[(a, b, x, y)] for b in OUTCOMES)
-                    for y in range(N_SETTINGS)
-                ]
-                for y in range(1, N_SETTINGS):
-                    dev = float(np.max(np.abs(marg[y] - marg[0])))
-                    if dev > tol:
-                        report.violations.append(
-                            Violation("no_signaling", f"sum_b sigma({a},b|{x},y) varies with y", dev)
-                        )
+        # Bob-side marginal independent of Alice's setting, and vice versa;
+        # each marginal is laid out as (varied setting, fixed setting, outcome).
+        o, x = len(OUTCOMES), N_SETTINGS
+        grid = s.reshape(x, x, o, o, *s.shape[1:])
+        marginals = (
+            (grid.sum(axis=2), "sum_a sigma(a,{o}|x,{s}) varies with x"),
+            (grid.sum(axis=3).swapaxes(0, 1), "sum_b sigma({o},b|{s},y) varies with y"),
+        )
+        for marg, text in marginals:
+            dev = np.abs(marg[1:] - marg[:1]).max(axis=(-2, -1)).transpose(2, 1, 0)
+            wheres = [text.format(o=o, s=s) for o, s, _ in np.ndindex(dev.shape)]
+            _flag(report, "no_signaling", dev.ravel(), tol, wheres)
 
     return report
 
@@ -374,12 +385,16 @@ def gghz_assemblage_2sdi(theta) -> Assemblage:
     return Assemblage(Scenario.TWO_SIDED, elements, theta=t)
 
 
+def gghz_assemblage(theta, scenario: Scenario) -> Assemblage:
+    """Closed-form GGHZ assemblage of the given scenario."""
+    if Scenario(scenario) is Scenario.ONE_SIDED:
+        return gghz_assemblage_1sdi(theta)
+    return gghz_assemblage_2sdi(theta)
+
+
 def ghz_assemblage(scenario: Scenario) -> Assemblage:
     """The perfectly genuine-steerable target: GGHZ at theta = pi/4."""
-    scenario = Scenario(scenario)
-    if scenario is Scenario.ONE_SIDED:
-        return gghz_assemblage_1sdi(math.pi / 4)
-    return gghz_assemblage_2sdi(math.pi / 4)
+    return gghz_assemblage(math.pi / 4, scenario)
 
 
 def assemblage_from_state(state: PureState, parties, sets=None) -> Assemblage:

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import (
-    Assemblage,
-    Scenario,
-    gghz_assemblage_1sdi,
-    gghz_assemblage_2sdi,
-    ghz_assemblage,
-    validate,
-)
+from .assemblage import Assemblage, Scenario, gghz_assemblage, ghz_assemblage, validate
 from .distillation import (
     asymptotic_kappa,
     distill,
@@ -29,7 +22,7 @@ from .distillation import (
     two_copy_optimal_kappa,
 )
 from .errors import NoSignChangeError, SteerdistError
-from .metrics import assemblage_fidelity, witness_1sdi, witness_2sdi
+from .metrics import assemblage_fidelity, witness
 from .protocol import run_protocol, success_probability
 from .states import THETA_MAX
 
@@ -118,14 +111,11 @@ def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> Swee
         kappa=float(kappa),
         p_succ_total=success_probability(theta, kappa, n_copies),
     )
-    if scenario in ("1sdi", "both"):
-        dist = distill(gghz_assemblage_1sdi(theta), kappa, n_copies)
-        row.f_1sdi = assemblage_fidelity(dist, ghz_assemblage(Scenario.ONE_SIDED))
-        row.s_1sdi = witness_1sdi(dist).value
-    if scenario in ("2sdi", "both"):
-        dist = distill(gghz_assemblage_2sdi(theta), kappa, n_copies)
-        row.f_2sdi = assemblage_fidelity(dist, ghz_assemblage(Scenario.TWO_SIDED))
-        row.s_2sdi = witness_2sdi(dist).value
+    for sc in Scenario:
+        if scenario in (sc.value, "both"):
+            dist = distill(gghz_assemblage(theta, sc), kappa, n_copies)
+            setattr(row, f"f_{sc.value}", assemblage_fidelity(dist, ghz_assemblage(sc)))
+            setattr(row, f"s_{sc.value}", witness(dist).value)
     return row
 
 
@@ -150,11 +140,7 @@ def threshold_theta(filter_kind, n_copies, scenario="1sdi", fixed_kappa=None,
 
     def s_of(theta: float) -> float:
         kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
-        if sc is Scenario.ONE_SIDED:
-            dist = distill(gghz_assemblage_1sdi(theta), kappa, n_copies)
-            return witness_1sdi(dist).value
-        dist = distill(gghz_assemblage_2sdi(theta), kappa, n_copies)
-        return witness_2sdi(dist).value
+        return witness(distill(gghz_assemblage(theta, sc), kappa, n_copies)).value
 
     s_lo, s_hi = s_of(lo), s_of(hi)
     if s_lo == 0.0:

@@ -16,12 +16,10 @@ import numpy as np
 from .assemblage import (
     Assemblage,
     Scenario,
-    element_keys,
+    gghz_assemblage,
     ghz_assemblage,
-    gghz_assemblage_1sdi,
-    gghz_assemblage_2sdi,
+    group_rows,
     require_valid,
-    setting_groups,
 )
 from .errors import (
     KappaOutOfRangeError,
@@ -29,8 +27,8 @@ from .errors import (
     ScenarioMismatchError,
     ZeroSuccessProbabilityError,
 )
-from .linalg import REL_EIG_ZERO, psd_sqrt
-from .metrics import assemblage_fidelity
+from .linalg import psd_sqrt
+from .metrics import fidelity_terms
 from .states import check_theta
 
 # Success probabilities below this are treated as certain failure.
@@ -53,6 +51,13 @@ def check_kappa(kappa) -> float:
     return k
 
 
+def check_copies(n_copies) -> int:
+    n = int(n_copies)
+    if n < 2:
+        raise ValueError(f"n_copies must be >= 2, got {n_copies}")
+    return n
+
+
 @dataclass(frozen=True)
 class FilterOp:
     """Dichotomic filter POVM on one qubit: success branch C0, failure C1.
@@ -73,25 +78,32 @@ def make_filter(kappa) -> FilterOp:
     return FilterOp(k, c0, c1)
 
 
-def _success_diagonal(kappa: float, scenario: Scenario) -> np.ndarray:
-    """Diagonal of the success operator on the element space.
+def _filtered(asm: Assemblage, kappas) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized filtered elements (K, E, d, d) and one-copy success probabilities (K,).
 
-    One-sided elements live on B (x) C, so the filter is 1 (x) C0; two-sided
-    elements are Charlie's qubit, acted on by C0 directly.
+    The filter C0 acts on the last qubit of every element (Charlie's), so
+    its action on a d-dim element is the diagonal (kappa, 1, kappa, 1, ...).
     """
-    if scenario is Scenario.ONE_SIDED:
-        return np.array([kappa, 1.0, kappa, 1.0])
-    return np.array([kappa, 1.0])
-
-
-def _conjugate_by_filter(asm: Assemblage, kappa: float):
-    """Unnormalized filtered elements and the per-copy success probability."""
-    d = _success_diagonal(kappa, asm.scenario)
-    scale = np.outer(d, d)
-    un = {k: scale * m for k, m in asm.elements.items()}
-    first_group = setting_groups(asm.scenario)[0]
-    p = float(sum(np.trace(un[k]).real for k in first_group))
+    ks = np.asarray(kappas, dtype=float).reshape(-1, 1)
+    diag = np.tile(np.hstack([ks, np.ones_like(ks)]), asm.element_dim // 2)   # (K, d)
+    scale = diag[:, :, None] * diag[:, None, :]
+    un = scale[:, None, :, :] * asm.stack
+    first = un[:, group_rows(asm.scenario)[0]]
+    p = np.trace(first, axis1=-2, axis2=-1).real.sum(axis=1)
     return un, p
+
+
+def _distilled(asm: Assemblage, kappas, n: int) -> np.ndarray:
+    """N-copy distilled element stacks (K, E, d, d), one per kappa.
+
+    Success on one of the first N-1 copies (weight 1 - (1-p)**(N-1)) keeps
+    the renormalized filtered assemblage, failure on all of them the input.
+    A numerically zero success probability leaves the input unchanged.
+    """
+    un, p = _filtered(asm, kappas)
+    p_fail = np.where(p >= P_SUCC_FLOOR, (1.0 - p) ** (n - 1), 1.0)
+    w_succ = (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR)
+    return w_succ[:, None, None, None] * un + p_fail[:, None, None, None] * asm.stack
 
 
 def apply_filter(asm: Assemblage, filt: FilterOp | float):
@@ -103,11 +115,11 @@ def apply_filter(asm: Assemblage, filt: FilterOp | float):
     """
     if not isinstance(filt, FilterOp):
         filt = make_filter(filt)
-    un, p = _conjugate_by_filter(asm, filt.kappa)
+    un, p = _filtered(asm, filt.kappa)
+    p = float(p[0])
     if p < P_SUCC_FLOOR:
         raise ZeroSuccessProbabilityError(f"p_succ = {p:.3e} below {P_SUCC_FLOOR:.0e}")
-    filtered = Assemblage(asm.scenario, {k: m / p for k, m in un.items()})
-    return p, filtered
+    return p, Assemblage._of_stack(asm.scenario, un[0] / p)
 
 
 def distill(asm: Assemblage, kappa, n_copies: int) -> Assemblage:
@@ -116,20 +128,8 @@ def distill(asm: Assemblage, kappa, n_copies: int) -> Assemblage:
     For inputs whose success probability is numerically zero the failure
     branch carries all the weight and the input is returned unchanged.
     """
-    k = check_kappa(kappa)
-    n = int(n_copies)
-    if n < 2:
-        raise ValueError(f"n_copies must be >= 2, got {n_copies}")
-    un, p = _conjugate_by_filter(asm, k)
-    if p < P_SUCC_FLOOR:
-        return Assemblage(asm.scenario, dict(asm.elements), theta=asm.theta)
-    p_fail = (1.0 - p) ** (n - 1)
-    p_succ = 1.0 - p_fail
-    mixed = {
-        key: (p_succ / p) * un[key] + p_fail * asm.elements[key]
-        for key in element_keys(asm.scenario)
-    }
-    return Assemblage(asm.scenario, mixed, theta=asm.theta)
+    stack = _distilled(asm, check_kappa(kappa), check_copies(n_copies))[0]
+    return Assemblage._of_stack(asm.scenario, stack, asm.theta)
 
 
 @dataclass(frozen=True)
@@ -145,17 +145,12 @@ class DistillationConfig:
         object.__setattr__(self, "theta", check_theta(self.theta))
         object.__setattr__(self, "kappa", check_kappa(self.kappa))
         object.__setattr__(self, "scenario", Scenario(self.scenario))
-        if int(self.n_copies) < 2:
-            raise ValueError(f"n_copies must be >= 2, got {self.n_copies}")
-        object.__setattr__(self, "n_copies", int(self.n_copies))
+        object.__setattr__(self, "n_copies", check_copies(self.n_copies))
 
 
 def distilled_assemblage(config: DistillationConfig) -> Assemblage:
     """Distilled GGHZ assemblage for the given configuration."""
-    if config.scenario is Scenario.ONE_SIDED:
-        base = gghz_assemblage_1sdi(config.theta)
-    else:
-        base = gghz_assemblage_2sdi(config.theta)
+    base = gghz_assemblage(config.theta, config.scenario)
     return distill(base, config.kappa, config.n_copies)
 
 
@@ -182,9 +177,7 @@ def two_copy_fidelity_closed_form(theta, kappa) -> float:
 def kappa_prime_ncopy_fidelity(theta, n_copies: int) -> float:
     """N-copy distilled fidelity with the asymptotic filter kappa = tan(theta)."""
     t = check_theta(theta)
-    n = int(n_copies)
-    if n < 2:
-        raise ValueError(f"n_copies must be >= 2, got {n_copies}")
+    n = check_copies(n_copies)
     return math.sqrt(1.0 - 0.5 * (1.0 - math.sin(2 * t)) * math.cos(2 * t) ** (n - 1))
 
 
@@ -194,57 +187,6 @@ class OptimizationResult:
     f_star: float
     evaluations: int
     bracket_width: float
-
-
-class _DistillFidelityObjective:
-    """kappa -> assemblage fidelity of the N-copy distilled mixture.
-
-    Precomputes the element stack and the target element roots once, then
-    evaluates whole kappa batches with vectorized eigensolves.  Root
-    fidelity is symmetric in its arguments, so rooting the fixed target
-    keeps the per-evaluation cost at one eigensolve per element.
-    """
-
-    def __init__(self, asm: Assemblage, target: Assemblage, n_copies: int):
-        self.scenario = asm.scenario
-        self.n = int(n_copies)
-        keys = element_keys(self.scenario)
-        self.sig = np.stack([asm.elements[k] for k in keys])
-        self.target_roots = np.stack([psd_sqrt(target.elements[k]) for k in keys])
-        groups = setting_groups(self.scenario)
-        key_index = {k: i for i, k in enumerate(keys)}
-        self.group_idx = np.array([[key_index[k] for k in g] for g in groups])
-        self.first_group = self.group_idx[0]
-        self.evaluations = 0
-
-    def batch(self, kappas: np.ndarray) -> np.ndarray:
-        ks = np.atleast_1d(np.asarray(kappas, dtype=float))
-        self.evaluations += ks.size
-        if self.scenario is Scenario.ONE_SIDED:
-            dvec = np.stack([ks, np.ones_like(ks), ks, np.ones_like(ks)], axis=1)
-        else:
-            dvec = np.stack([ks, np.ones_like(ks)], axis=1)
-        scale = dvec[:, :, None] * dvec[:, None, :]          # (K, d, d)
-        un = scale[:, None, :, :] * self.sig[None, :, :, :]  # (K, E, d, d)
-
-        diag = np.einsum("keii->ke", un).real
-        p = diag[:, self.first_group].sum(axis=1)
-        p_fail = np.where(p > P_SUCC_FLOOR, (1.0 - p) ** (self.n - 1), 1.0)
-        w_succ = np.where(p > P_SUCC_FLOOR, (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR), 0.0)
-        dist = w_succ[:, None, None, None] * un + p_fail[:, None, None, None] * self.sig
-
-        r = self.target_roots[None, :, :, :]
-        m = r @ dist @ r
-        m = (m + np.conj(np.swapaxes(m, -1, -2))) / 2
-        ev = np.linalg.eigvalsh(m)                           # (K, E, d)
-        cut = REL_EIG_ZERO * np.clip(ev[..., -1:], 0.0, None)
-        ev = np.where(ev < cut, 0.0, ev)
-        f = np.sqrt(ev).sum(axis=-1)                         # (K, E)
-        per_setting = f[:, self.group_idx].sum(axis=2)       # (K, G)
-        return per_setting.min(axis=1)
-
-    def __call__(self, kappa: float) -> float:
-        return float(self.batch(np.array([kappa]))[0])
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float):
@@ -280,9 +222,7 @@ def optimize_kappa(
     section refines it to a bracket of width <= 1e-8, and exact fidelity
     ties resolve to the larger kappa (higher success probability).
     """
-    n = int(n_copies)
-    if n < 2:
-        raise ValueError(f"n_copies must be >= 2, got {n_copies}")
+    n = check_copies(n_copies)
     if isinstance(source, Assemblage):
         asm = source
         if scenario is not None and Scenario(scenario) is not asm.scenario:
@@ -290,13 +230,7 @@ def optimize_kappa(
                 f"assemblage is {asm.scenario.value}, requested {Scenario(scenario).value}"
             )
     else:
-        sc = Scenario(scenario) if scenario is not None else Scenario.ONE_SIDED
-        theta = check_theta(source)
-        asm = (
-            gghz_assemblage_1sdi(theta)
-            if sc is Scenario.ONE_SIDED
-            else gghz_assemblage_2sdi(theta)
-        )
+        asm = gghz_assemblage(source, scenario or Scenario.ONE_SIDED)
     require_valid(asm)
     if target is None:
         target = ghz_assemblage(asm.scenario)
@@ -305,9 +239,20 @@ def optimize_kappa(
             f"target is {target.scenario.value}, source is {asm.scenario.value}"
         )
 
-    objective = _DistillFidelityObjective(asm, target, n)
+    # Root fidelity is symmetric, so rooting the fixed target once keeps
+    # each evaluation at one eigensolve per element.
+    roots = psd_sqrt(target.stack)
+    rows = group_rows(asm.scenario)
+    evaluations = 0
+
+    def objective(kappas) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += np.size(kappas)
+        f = fidelity_terms(_distilled(asm, kappas, n), roots)   # (K, E)
+        return f[:, rows].sum(axis=2).min(axis=1)
+
     grid = np.linspace(0.0, 1.0, PRE_SCAN_POINTS)
-    values = objective.batch(grid)
+    values = objective(grid)
     if not np.all(np.isfinite(values)):
         raise NonFiniteObjectiveError("objective produced NaN or Inf during pre-scan")
     # argmax with exact ties resolved to the larger kappa
@@ -315,7 +260,9 @@ def optimize_kappa(
 
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    kappa_star, width = _golden_section_max(objective, lo, hi, BRACKET_TOL)
+    kappa_star, width = _golden_section_max(
+        lambda k: float(objective(k)[0]), lo, hi, BRACKET_TOL
+    )
 
     # Domain endpoints never fall strictly inside a golden bracket; compare
     # them explicitly so a boundary maximum reports kappa exactly 0 or 1.
@@ -324,16 +271,16 @@ def optimize_kappa(
         candidates.append(1.0)
     if lo <= BRACKET_TOL:
         candidates.append(0.0)
-    scored = [(objective(k), k) for k in candidates]
-    best_f = max(s[0] for s in scored)
-    kappa_star = max(k for f_val, k in scored if f_val >= best_f - F_TIE_TOL)
-
-    f_star = assemblage_fidelity(distill(asm, kappa_star, n), target)
+    scored = list(zip(objective(candidates).tolist(), candidates))
+    best_f = max(f_val for f_val, _ in scored)
+    f_star, kappa_star = max(
+        (s for s in scored if s[0] >= best_f - F_TIE_TOL), key=lambda s: s[1]
+    )
     if not math.isfinite(f_star):
         raise NonFiniteObjectiveError(f"fidelity at kappa = {kappa_star} is not finite")
     return OptimizationResult(
         kappa_star=float(kappa_star),
         f_star=float(f_star),
-        evaluations=objective.evaluations,
+        evaluations=evaluations,
         bracket_width=float(width),
     )

@@ -55,3 +55,7 @@ class NonFiniteObjectiveError(SteerdistError, ArithmeticError):
 
 class NoSignChangeError(SteerdistError, ValueError):
     """Root bracketing failed: witness has the same sign at both interval ends."""
+
+
+class SchemaError(SteerdistError, ValueError):
+    """An assemblage JSON document does not follow the interchange format."""

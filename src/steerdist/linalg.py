@@ -33,38 +33,51 @@ REL_EIG_ZERO = 1e-13
 _ALLOWED_DIMS = (2, 4, 8)
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex ndarray of dimension 2, 4 or 8."""
+def _as_stack(m) -> np.ndarray:
+    """Coerce to a stack (..., d, d) of square complex matrices, d in 2, 4, 8."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in _ALLOWED_DIMS:
-        raise DimOverflowError(f"dimension {a.shape[0]} not in {_ALLOWED_DIMS}")
+    if a.shape[-1] not in _ALLOWED_DIMS:
+        raise DimOverflowError(f"dimension {a.shape[-1]} not in {_ALLOWED_DIMS}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
 
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square complex ndarray of dimension 2, 4 or 8."""
+    a = _as_stack(m)
+    if a.ndim != 2:
+        raise DimMismatchError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
-    """Check Hermiticity and return the exactly symmetrized matrix."""
-    a = as_matrix(m)
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    """Check Hermiticity and return the exactly symmetrized matrix (or stack)."""
+    a = _as_stack(m)
+    dev = float(np.max(np.abs(a - dagger(a))))
     if dev > tol:
         raise NotHermitianError(f"max |m - m^dagger| = {dev:.3e} exceeds {tol:.1e}")
-    return (a + a.conj().T) / 2
+    return (a + dagger(a)) / 2
 
 
 def require_psd(m, tol: float = TOL_PSD) -> np.ndarray:
-    """Check positive semidefiniteness (within tol) of a Hermitian matrix."""
+    """Check positive semidefiniteness (within tol) of a Hermitian matrix or stack."""
     a = require_hermitian(m)
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -tol:
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
+    low = float(np.linalg.eigvalsh(a)[..., 0].min())
+    if low < -tol:
+        raise NotPSDError(f"eigenvalue {low:.3e} below -{tol:.1e}")
     return a
 
 
 def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or stack of matrices.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
     eigenvectors as orthonormal columns, so that V diag(w) V^dagger == m.
@@ -75,30 +88,36 @@ def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     # Cheap at dim <= 8; audits every decomposition performed by the toolkit.
-    assert float(np.max(np.abs((v * w) @ v.conj().T - a))) <= TOL_RECON
-    assert float(np.max(np.abs(v.conj().T @ v - np.eye(a.shape[0])))) <= TOL_RECON
+    recon = float(np.max(np.abs((v * w[..., None, :]) @ dagger(v) - a)))
+    ortho = float(np.max(np.abs(dagger(v) @ v - np.eye(a.shape[-1]))))
+    if max(recon, ortho) > TOL_RECON:
+        raise NoConvergenceError(
+            f"eigendecomposition off by {max(recon, ortho):.3e} (limit {TOL_RECON:.0e})"
+        )
     return w, v
 
 
 def clamp_spectrum(w: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     """Clamp the spectrum of a nominally PSD matrix to exact non-negativity.
 
-    Values in [-tol, 0) become 0; values below REL_EIG_ZERO * max(w) are
-    zeroed as numerical null modes; anything below -tol raises NotPSDError.
+    ``w`` holds one spectrum per matrix along its last axis.  Values in
+    [-tol, 0) become 0; values below REL_EIG_ZERO times their own matrix's
+    largest eigenvalue are zeroed as numerical null modes; anything below
+    -tol raises NotPSDError.
     """
     w = np.asarray(w, dtype=float)
     if w.size and float(w.min()) < -tol:
         raise NotPSDError(f"eigenvalue {float(w.min()):.3e} below -{tol:.1e}")
-    cut = REL_EIG_ZERO * max(float(w.max(initial=0.0)), 0.0)
+    cut = REL_EIG_ZERO * np.max(w, axis=-1, keepdims=True, initial=0.0)
     return np.where(w < cut, 0.0, w)
 
 
 def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
-    """Principal square root of a PSD matrix via eigendecomposition."""
+    """Principal square root of a PSD matrix (or stack) via eigendecomposition."""
     w, v = eig_hermitian(m)
     w = clamp_spectrum(w, tol)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
+    root = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return (root + dagger(root)) / 2
 
 
 def kron(a, b) -> np.ndarray:

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblage import (
-    OUTCOMES,
     Assemblage,
     Scenario,
-    setting_groups,
+    element_keys,
+    group_rows,
+    require_valid,
 )
-from .errors import DimMismatchError, InvariantViolationError, ScenarioMismatchError
-from .linalg import clamp_spectrum, psd_sqrt, require_psd
+from .errors import DimMismatchError, ScenarioMismatchError
+from .linalg import as_matrix, clamp_spectrum, dagger, psd_sqrt, require_psd
 from .states import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 # Witness coefficients as published (decimals, not presumed exact surds).
@@ -27,9 +28,21 @@ COEFF_ZZ = 0.1547
 COEFF_2SDI_MARGINAL = 0.1831
 COEFF_2SDI_CORRELATOR = 0.2582
 
-# Setting index used for single-party marginal terms (the Z slot);
-# no-signaling is asserted first, so the choice cannot shift the value.
+# Setting index used for single-party marginal terms (the Z slot); the
+# witnesses validate their input first, per-party marginal no-signaling
+# included, so the choice cannot shift the value.
 MARGINAL_SETTING = 2
+
+
+def fidelity_terms(stacks, roots) -> np.ndarray:
+    """Root fidelities Tr sqrt(r sigma r) of (..., E, d, d) stacks against (E, d, d) roots.
+
+    ``roots`` holds the principal square roots of the reference elements;
+    the result has shape (..., E).  Inputs are trusted to be PSD.
+    """
+    m = roots @ stacks @ roots
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    return np.sqrt(clamp_spectrum(w)).sum(axis=-1)
 
 
 def root_fidelity(sigma, rho) -> float:
@@ -37,14 +50,11 @@ def root_fidelity(sigma, rho) -> float:
 
     Symmetric in its arguments and bounded by sqrt(Tr sigma * Tr rho).
     """
-    a = require_psd(sigma)
-    b = require_psd(rho)
+    a = require_psd(as_matrix(sigma))
+    b = require_psd(as_matrix(rho))
     if a.shape != b.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    r = psd_sqrt(a)
-    m = r @ b @ r
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return float(np.sum(np.sqrt(clamp_spectrum(w))))
+    return float(fidelity_terms(b, psd_sqrt(a)))
 
 
 def assemblage_fidelity(asm: Assemblage, target: Assemblage) -> float:
@@ -57,11 +67,8 @@ def assemblage_fidelity(asm: Assemblage, target: Assemblage) -> float:
         raise ScenarioMismatchError(
             f"cannot compare {asm.scenario.value} against {target.scenario.value}"
         )
-    best = np.inf
-    for group in setting_groups(asm.scenario):
-        total = sum(root_fidelity(asm.elements[k], target.elements[k]) for k in group)
-        best = min(best, total)
-    return float(best)
+    f = fidelity_terms(require_psd(asm.stack), psd_sqrt(target.stack))
+    return float(f[group_rows(asm.scenario)].sum(axis=1).min())
 
 
 @dataclass(frozen=True)
@@ -92,80 +99,66 @@ def witness_value_from_terms(scenario: Scenario, terms: dict[str, float]) -> flo
     )
 
 
-def _require_no_signaling(asm: Assemblage, tol: float = 1e-10) -> None:
-    totals = asm.setting_totals()
-    dev = max(float(np.max(np.abs(t - totals[0]))) for t in totals[1:])
-    if dev > tol:
-        raise InvariantViolationError(f"no-signaling violated by {dev:.3e}")
+def _term_table(scenario: Scenario, spec) -> tuple[tuple[str, ...], np.ndarray]:
+    """Operator table W (T, E, d, d) with term_t = Re sum_e Tr(W[t, e] sigma_e).
+
+    Each spec entry (name, setting, op, mask) sums op over the outcomes of
+    one setting with sign (-1)**(mask . outcomes).
+    """
+    keys = element_keys(scenario)
+    d = spec[0][2].shape[0]
+    table = np.zeros((len(spec), len(keys), d, d), dtype=complex)
+    for t, (_, setting, op, mask) in enumerate(spec):
+        for e, key in enumerate(keys):
+            outcomes, key_setting = key[: len(mask)], key[len(mask):]
+            if key_setting == setting:
+                table[t, e] = (-1) ** sum(m * o for m, o in zip(mask, outcomes)) * op
+    table.setflags(write=False)
+    return tuple(name for name, *_ in spec), table
 
 
-def _corr_one_sided(asm: Assemblage, x: int, op: np.ndarray, signed: bool) -> float:
-    total = 0.0
-    for a in OUTCOMES:
-        val = float(np.trace(op @ asm.elements[(a, x)]).real)
-        total += ((-1) ** a * val) if signed else val
-    return total
+# Correlators with Alice use the (-1)**a sign convention; the trusted
+# Z (x) Z marginal is read off the Z setting.
+_TERMS_1SDI = _term_table(Scenario.ONE_SIDED, (
+    ("ZZ", (MARGINAL_SETTING,), np.kron(PAULI_Z, PAULI_Z), (0,)),
+    ("A3ZB", (2,), np.kron(PAULI_Z, IDENTITY_2), (1,)),
+    ("A3ZC", (2,), np.kron(IDENTITY_2, PAULI_Z), (1,)),
+    ("A1XX", (0,), np.kron(PAULI_X, PAULI_X), (1,)),
+    ("A1YY", (0,), np.kron(PAULI_Y, PAULI_Y), (1,)),
+    ("A2XY", (1,), np.kron(PAULI_X, PAULI_Y), (1,)),
+    ("A2YX", (1,), np.kron(PAULI_Y, PAULI_X), (1,)),
+))
+# Joint correlators carry (-1)**(a+b); the single-party marginal terms fix
+# the partner's setting to the Z slot.
+_TERMS_2SDI = _term_table(Scenario.TWO_SIDED, (
+    ("A3B3", (2, 2), IDENTITY_2, (1, 1)),
+    ("A3ZC", (2, MARGINAL_SETTING), PAULI_Z, (1, 0)),
+    ("B3ZC", (MARGINAL_SETTING, 2), PAULI_Z, (0, 1)),
+    ("A1B1X", (0, 0), PAULI_X, (1, 1)),
+    ("A1B2Y", (0, 1), PAULI_Y, (1, 1)),
+    ("A2B1Y", (1, 0), PAULI_Y, (1, 1)),
+    ("A2B2X", (1, 1), PAULI_X, (1, 1)),
+))
+
+
+def _witness(asm: Assemblage, scenario: Scenario, tables) -> WitnessResult:
+    if asm.scenario is not scenario:
+        raise ScenarioMismatchError(f"witness_{scenario.value} needs a {scenario.value} assemblage")
+    require_valid(asm)
+    names, table = tables
+    values = np.einsum("teij,eji->t", table, asm.stack).real
+    terms = dict(zip(names, values.tolist()))
+    return WitnessResult(scenario, witness_value_from_terms(scenario, terms), terms)
 
 
 def witness_1sdi(asm: Assemblage) -> WitnessResult:
-    """One-sided genuine-steering witness; negative on steerable assemblages.
-
-    Correlators with Alice use the (-1)**a sign convention; the trusted
-    Z (x) Z marginal is read off the Z setting.
-    """
-    if asm.scenario is not Scenario.ONE_SIDED:
-        raise ScenarioMismatchError("witness_1sdi needs a one-sided assemblage")
-    _require_no_signaling(asm)
-    xx = np.kron(PAULI_X, PAULI_X)
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    xy = np.kron(PAULI_X, PAULI_Y)
-    yx = np.kron(PAULI_Y, PAULI_X)
-    zb = np.kron(PAULI_Z, IDENTITY_2)
-    zc = np.kron(IDENTITY_2, PAULI_Z)
-    zz = np.kron(PAULI_Z, PAULI_Z)
-    terms = {
-        "ZZ": _corr_one_sided(asm, MARGINAL_SETTING, zz, signed=False),
-        "A3ZB": _corr_one_sided(asm, 2, zb, signed=True),
-        "A3ZC": _corr_one_sided(asm, 2, zc, signed=True),
-        "A1XX": _corr_one_sided(asm, 0, xx, signed=True),
-        "A1YY": _corr_one_sided(asm, 0, yy, signed=True),
-        "A2XY": _corr_one_sided(asm, 1, xy, signed=True),
-        "A2YX": _corr_one_sided(asm, 1, yx, signed=True),
-    }
-    value = witness_value_from_terms(Scenario.ONE_SIDED, terms)
-    return WitnessResult(Scenario.ONE_SIDED, value, terms)
-
-
-def _corr_two_sided(asm: Assemblage, x: int, y: int, op: np.ndarray, sign) -> float:
-    total = 0.0
-    for a in OUTCOMES:
-        for b in OUTCOMES:
-            val = float(np.trace(op @ asm.elements[(a, b, x, y)]).real)
-            total += sign(a, b) * val
-    return total
+    """One-sided genuine-steering witness; negative on steerable assemblages."""
+    return _witness(asm, Scenario.ONE_SIDED, _TERMS_1SDI)
 
 
 def witness_2sdi(asm: Assemblage) -> WitnessResult:
-    """Two-sided genuine-steering witness; negative on steerable assemblages.
-
-    Joint correlators carry (-1)**(a+b); the single-party marginal terms fix
-    the partner's setting to the Z slot.
-    """
-    if asm.scenario is not Scenario.TWO_SIDED:
-        raise ScenarioMismatchError("witness_2sdi needs a two-sided assemblage")
-    _require_no_signaling(asm)
-    z2 = MARGINAL_SETTING
-    terms = {
-        "A3B3": _corr_two_sided(asm, 2, 2, IDENTITY_2, lambda a, b: (-1) ** (a + b)),
-        "A3ZC": _corr_two_sided(asm, 2, z2, PAULI_Z, lambda a, b: (-1) ** a),
-        "B3ZC": _corr_two_sided(asm, z2, 2, PAULI_Z, lambda a, b: (-1) ** b),
-        "A1B1X": _corr_two_sided(asm, 0, 0, PAULI_X, lambda a, b: (-1) ** (a + b)),
-        "A1B2Y": _corr_two_sided(asm, 0, 1, PAULI_Y, lambda a, b: (-1) ** (a + b)),
-        "A2B1Y": _corr_two_sided(asm, 1, 0, PAULI_Y, lambda a, b: (-1) ** (a + b)),
-        "A2B2X": _corr_two_sided(asm, 1, 1, PAULI_X, lambda a, b: (-1) ** (a + b)),
-    }
-    value = witness_value_from_terms(Scenario.TWO_SIDED, terms)
-    return WitnessResult(Scenario.TWO_SIDED, value, terms)
+    """Two-sided genuine-steering witness; negative on steerable assemblages."""
+    return _witness(asm, Scenario.TWO_SIDED, _TERMS_2SDI)
 
 
 def witness(asm: Assemblage) -> WitnessResult:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, Scenario, convex_mix, gghz_assemblage_1sdi
-from .distillation import P_SUCC_FLOOR, apply_filter, check_kappa, make_filter
+from .assemblage import Assemblage, convex_mix, gghz_assemblage_1sdi
+from .distillation import P_SUCC_FLOOR, apply_filter, check_copies, check_kappa, make_filter
 from .states import check_theta
 
 
@@ -35,9 +35,7 @@ def single_copy_success_probability(theta, kappa) -> float:
 
 def success_probability(theta, kappa, n_copies: int) -> float:
     """Probability that at least one of the N-1 filtered copies succeeds."""
-    n = int(n_copies)
-    if n < 2:
-        raise ValueError(f"n_copies must be >= 2, got {n_copies}")
+    n = check_copies(n_copies)
     p = single_copy_success_probability(theta, kappa)
     return 1.0 - (1.0 - p) ** (n - 1)
 
@@ -81,9 +79,7 @@ def run_protocol(theta, kappa, n_copies: int, trials: int, seed: int) -> SimOutc
     """
     t = check_theta(theta)
     k = check_kappa(kappa)
-    n = int(n_copies)
-    if n < 2:
-        raise ValueError(f"n_copies must be >= 2, got {n_copies}")
+    n = check_copies(n_copies)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -105,7 +101,7 @@ def run_protocol(theta, kappa, n_copies: int, trials: int, seed: int) -> SimOutc
 
     base = gghz_assemblage_1sdi(t)
     if success_count == 0 or p < P_SUCC_FLOOR:
-        empirical = Assemblage(Scenario.ONE_SIDED, dict(base.elements), theta=t)
+        empirical = base
     else:
         _, filtered = apply_filter(base, make_filter(k))
         frac = success_count / trials

@@ -1,0 +1,124 @@
+"""Bad input is refused with a typed error, never computed on."""
+import ast
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import steerdist
+from steerdist.assemblage import (
+    Assemblage,
+    Scenario,
+    gghz_assemblage_1sdi,
+    gghz_assemblage_2sdi,
+    validate,
+)
+from steerdist.cli import main
+from steerdist.errors import InvariantViolationError, NoConvergenceError, SchemaError
+from steerdist.linalg import eig_hermitian
+from steerdist.metrics import witness, witness_2sdi
+
+PACKAGE_DIR = Path(steerdist.__file__).parent
+
+
+def test_package_has_no_assert_statements():
+    # Checks written as assert vanish under python -O.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_eig_hermitian_audit_raises(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def skewed_eigh(a):
+        w, v = real_eigh(a)
+        return w, v * 1.01
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    with pytest.raises(NoConvergenceError):
+        eig_hermitian(np.diag([1.0, 2.0]))
+    with pytest.raises(NoConvergenceError):
+        eig_hermitian(np.stack([np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0])]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_element_rejected_at_construction(bad):
+    asm = gghz_assemblage_1sdi(0.3)
+    elements = dict(asm.elements)
+    elements[(1, 2)] = np.array(elements[(1, 2)])
+    elements[(1, 2)][0, 0] = bad
+    with pytest.raises(InvariantViolationError, match="1\\|2"):
+        Assemblage(Scenario.ONE_SIDED, elements)
+
+
+def _malformed_documents():
+    doc = gghz_assemblage_1sdi(0.3).to_json_dict()
+    missing_scenario = {k: v for k, v in doc.items() if k != "scenario"}
+    flat = json.loads(json.dumps(doc))
+    flat["elements"]["0|0"] = [[re for re, _ in row] for row in doc["elements"]["0|0"]]
+    scalar = json.loads(json.dumps(doc))
+    scalar["elements"]["0|0"] = 0.5
+    text_theta = dict(doc, theta="pi/8")
+    return {
+        "missing_scenario": missing_scenario,
+        "top_level_list": [doc],
+        "wrongly_nested_matrix": flat,
+        "scalar_matrix": scalar,
+        "non_numeric_theta": text_theta,
+    }
+
+
+MALFORMED = _malformed_documents()
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_from_json_dict_raises_schema_error(name):
+    with pytest.raises(SchemaError):
+        Assemblage.from_json_dict(MALFORMED[name])
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("command", [["validate"], ["optimize", "--n", "2", "--assemblage"]])
+def test_cli_reports_malformed_json(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED[name]), encoding="utf-8")
+    assert main(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_witness_refuses_marginally_signaling_assemblage():
+    # Moving 0.2|0><0| between two outcome slots of the (Z, Z) setting keeps
+    # every joint setting total but makes Alice's marginal depend on Bob's
+    # setting; the witness formula alone would read +0.014 instead of -0.132.
+    asm = gghz_assemblage_2sdi(0.3)
+    moved = 0.2 * np.diag([1.0, 0.0]).astype(complex)
+    elements = dict(asm.elements)
+    elements[(0, 0, 2, 2)] = elements[(0, 0, 2, 2)] - moved
+    elements[(1, 0, 2, 2)] = elements[(1, 0, 2, 2)] + moved
+    signaling = Assemblage(Scenario.TWO_SIDED, elements)
+    assert "no_signaling" in validate(signaling).checks_failed()
+    assert witness_2sdi(asm).value == pytest.approx(-0.1325, abs=1e-4)
+    with pytest.raises(InvariantViolationError):
+        witness_2sdi(signaling)
+    with pytest.raises(InvariantViolationError):
+        witness(signaling)
+
+
+def test_witness_refuses_non_psd_assemblage():
+    asm = gghz_assemblage_1sdi(math.pi / 8)
+    elements = dict(asm.elements)
+    shift = 0.05 * np.diag([1.0, 0.0, 0.0, -1.0])
+    elements[(0, 2)] = elements[(0, 2)] + shift
+    elements[(1, 2)] = elements[(1, 2)] - shift
+    with pytest.raises(InvariantViolationError):
+        witness(Assemblage(Scenario.ONE_SIDED, elements))
