@@ -1,10 +1,11 @@
 """Conditional-state families (assemblages) for the one- and two-sided
 device-independent steering scenarios.
 
-One-sided: Alice is untrusted; elements sigma_{a|x} live on the B (x) C
-qubits (dim 4).  Two-sided: Alice and Bob are untrusted; elements
-sigma_{ab|xy} live on Charlie's qubit (dim 2).  Elements are unnormalized:
-Tr sigma is the outcome probability.
+A scenario is fixed by k, the number of untrusted parties, which are the
+first k of the three qubits A, B, C.  One-sided: k = 1 (Alice); elements
+sigma_{a|x} live on the B (x) C qubits (dim 4).  Two-sided: k = 2 (Alice
+and Bob); elements sigma_{ab|xy} live on Charlie's qubit (dim 2).
+Elements are unnormalized: Tr sigma is the outcome probability.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -39,58 +41,62 @@ class Scenario(str, Enum):
     ONE_SIDED = "1sdi"
     TWO_SIDED = "2sdi"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ScenarioMismatchError(f"unknown scenario {value!r}, expected '1sdi' or '2sdi'")
 
+    @property
+    def parties(self) -> int:
+        """Number of untrusted (measured) parties, k."""
+        return 1 if self is Scenario.ONE_SIDED else 2
+
+    @property
+    def element_dim(self) -> int:
+        """Dimension of an element: the trusted qubits, 2**(3 - k)."""
+        return 2 ** (3 - self.parties)
+
+
+@functools.cache
+def setting_groups(scenario: Scenario) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Element keys (outcomes..., settings...) grouped by measurement setting.
+
+    Settings run outer and outcomes inner, each in ``itertools.product``
+    order over the k untrusted parties.  Normalization sums, the fidelity
+    minimum and filter success probabilities all run over these groups.
+    """
+    k = Scenario(scenario).parties
+    return tuple(
+        tuple(outcomes + settings for outcomes in product(OUTCOMES, repeat=k))
+        for settings in product(range(N_SETTINGS), repeat=k)
+    )
+
+
+@functools.cache
 def element_keys(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     """Full index grid of an assemblage: (a, x) or (a, b, x, y) tuples."""
-    if scenario is Scenario.ONE_SIDED:
-        return tuple((a, x) for x in range(N_SETTINGS) for a in OUTCOMES)
-    return tuple(
-        (a, b, x, y)
-        for x in range(N_SETTINGS)
-        for y in range(N_SETTINGS)
-        for a in OUTCOMES
-        for b in OUTCOMES
-    )
-
-
-def setting_groups(scenario: Scenario) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Element keys grouped by measurement setting.
-
-    Normalization sums, the fidelity minimum and filter success
-    probabilities all run over these groups.
-    """
-    if scenario is Scenario.ONE_SIDED:
-        return tuple(tuple((a, x) for a in OUTCOMES) for x in range(N_SETTINGS))
-    return tuple(
-        tuple((a, b, x, y) for a in OUTCOMES for b in OUTCOMES)
-        for x in range(N_SETTINGS)
-        for y in range(N_SETTINGS)
-    )
+    return tuple(key for group in setting_groups(scenario) for key in group)
 
 
 @functools.cache
 def group_rows(scenario: Scenario) -> np.ndarray:
     """(G, outcomes) table of stack rows, one row per setting group."""
-    row = {k: i for i, k in enumerate(element_keys(scenario))}
-    rows = np.array([[row[k] for k in group] for group in setting_groups(scenario)])
+    # element_keys lists the groups one after another.
+    rows = np.arange(len(element_keys(scenario))).reshape(len(setting_groups(scenario)), -1)
     rows.setflags(write=False)
     return rows
 
 
+@functools.cache
 def _key_str(key: tuple[int, ...]) -> str:
-    if len(key) == 2:
-        return f"{key[0]}|{key[1]}"
-    a, b, x, y = key
-    return f"{a}{b}|{x}{y}"
+    k = len(key) // 2
+    return "".join(map(str, key[:k])) + "|" + "".join(map(str, key[k:]))
 
 
 def _key_from_str(s: str, scenario: Scenario) -> tuple[int, ...]:
-    out, setting = s.split("|")
-    digits = tuple(int(c) for c in out) + tuple(int(c) for c in setting)
-    expected = 2 if scenario is Scenario.ONE_SIDED else 4
-    if len(digits) != expected:
+    parts = s.split("|")
+    if len(parts) != 2 or any(len(p) != scenario.parties for p in parts):
         raise ValueError(f"element key {s!r} does not match scenario {scenario.value}")
-    return digits
+    return tuple(int(c) for c in "".join(parts))
 
 
 @dataclass
@@ -125,23 +131,25 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assemblage:
     """Immutable table of unnormalized conditional states over the index grid.
 
     The elements are stored once, as the read-only ``stack`` of shape
     (E, d, d) in ``element_keys`` order; ``elements`` maps each key to its
-    row of the stack.
+    row of the stack.  Equality and hashing are by identity.
     """
 
     scenario: Scenario
     elements: Mapping[tuple[int, ...], np.ndarray]
     theta: float | None = None
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         scenario = Scenario(self.scenario)
-        dim = 4 if scenario is Scenario.ONE_SIDED else 2
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise InvariantViolationError(f"theta = {self.theta} is not finite")
+        dim = scenario.element_dim
         keys = element_keys(scenario)
         if set(self.elements) != set(keys):
             missing = set(keys) - set(self.elements)
@@ -172,7 +180,7 @@ class Assemblage:
 
     @property
     def element_dim(self) -> int:
-        return 4 if self.scenario is Scenario.ONE_SIDED else 2
+        return self.scenario.element_dim
 
     def element(self, *key: int) -> np.ndarray:
         return self.elements[tuple(key)]
@@ -209,7 +217,7 @@ class Assemblage:
                 for key_s, rows in doc["elements"].items()
             }
             theta = None if doc.get("theta") is None else float(doc["theta"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(
                 f"malformed assemblage JSON ({type(exc).__name__}: {exc})"
             ) from exc
@@ -297,99 +305,77 @@ def require_valid(asm: Assemblage, tol: float = TOL_ASSEMBLAGE) -> Assemblage:
     return asm
 
 
-def _two_qubit_pair_ket(c: float, s: complex) -> np.ndarray:
-    """c|00> + s|11> on the B (x) C register (indices 0 and 3)."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = c
-    v[3] = s
-    return v
+# (-i)**n for n = 0..3, as literals: forming the product of the factors
+# would flip the sign of a zero imaginary part at theta = 0.
+_PHASES = (1, -1j, -1, 1j)
 
 
-def _proj(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
+@functools.cache
+def _gghz_recipe(scenario: Scenario) -> tuple:
+    """Theta-free description of each GGHZ element, in ``element_keys`` order.
+
+    Measuring the k untrusted parties of c|000> + s|111> leaves
+    ("xy", n) when every party measures X or Y: the projector onto
+        c|0..0> + (-i)**n s|1..1>, n = #Y + 2 * sum(outcomes),
+        divided by 2**k, each outcome having probability 1/2**k;
+    ("z", a, m) when every Z outcome equals a: c**2 (a = 0) or s**2 (a = 1),
+        divided by 2**m for the m parties on X or Y, times |a..a><a..a|;
+    ("zero",) when two Z outcomes conflict.
+    """
+    k = scenario.parties
+    recipe = []
+    for key in element_keys(scenario):
+        outcomes, settings = key[:k], key[k:]
+        z_outcomes = {a for a, x in zip(outcomes, settings) if x == 2}
+        if not z_outcomes:
+            recipe.append(("xy", (settings.count(1) + 2 * sum(outcomes)) % 4))
+        elif len(z_outcomes) == 1:
+            recipe.append(("z", z_outcomes.pop(), k - settings.count(2)))
+        else:
+            recipe.append(("zero",))
+    return tuple(recipe)
+
+
+def _gghz_assemblage(theta, scenario: Scenario) -> Assemblage:
+    t = check_theta(theta)
+    c, s = math.cos(t), math.sin(t)
+    k, d = scenario.parties, scenario.element_dim
+
+    # Keep `/ 2**n` and `c**2`: `* 0.5` flips the sign of zero imaginary parts
+    # and `c * c` can differ in the last bit, and JSON output shows both.
+    def matrix(step):
+        if step[0] == "zero":
+            return np.zeros((d, d), dtype=complex)
+        ket = np.zeros(d, dtype=complex)
+        if step[0] == "xy":
+            ket[0], ket[-1] = c, _PHASES[step[1]] * s
+            return np.outer(ket, ket.conj()) / 2**k
+        _, a, m = step
+        ket[a * (d - 1)] = 1.0  # |a..a>
+        return ((c, s)[a] ** 2 / 2**m) * np.outer(ket, ket.conj())
+
+    recipe = _gghz_recipe(scenario)
+    # Each distinct matrix is built once; keys sharing a step share it.
+    built = {step: matrix(step) for step in set(recipe)}
+    elements = {key: built[step] for key, step in zip(element_keys(scenario), recipe)}
+    return Assemblage(scenario, elements, theta=t)
 
 
 def gghz_assemblage_1sdi(theta) -> Assemblage:
-    """Closed-form one-sided assemblage of the GGHZ state under X, Y, Z.
-
-    The X and Y settings leave (cos|00> +- sin|11>)-type pure states with
-    probability 1/2 each; the Z setting leaves |00> and |11> with
-    probabilities cos^2 and sin^2.
-    """
-    t = check_theta(theta)
-    c, s = math.cos(t), math.sin(t)
-    plus_re = _two_qubit_pair_ket(c, s)
-    minus_re = _two_qubit_pair_ket(c, -s)
-    plus_im = _two_qubit_pair_ket(c, 1j * s)
-    minus_im = _two_qubit_pair_ket(c, -1j * s)
-    zero_zero = np.zeros(4, dtype=complex)
-    zero_zero[0] = 1.0
-    one_one = np.zeros(4, dtype=complex)
-    one_one[3] = 1.0
-
-    elements = {
-        (0, 0): _proj(plus_re) / 2,
-        (1, 0): _proj(minus_re) / 2,
-        (0, 1): _proj(minus_im) / 2,  # Y outcome 0 picks the -i branch
-        (1, 1): _proj(plus_im) / 2,
-        (0, 2): c**2 * _proj(zero_zero),
-        (1, 2): s**2 * _proj(one_one),
-    }
-    return Assemblage(Scenario.ONE_SIDED, elements, theta=t)
+    """Closed-form one-sided GGHZ assemblage under X, Y, Z (Alice measured)."""
+    return _gghz_assemblage(theta, Scenario.ONE_SIDED)
 
 
 def gghz_assemblage_2sdi(theta) -> Assemblage:
-    """Closed-form two-sided assemblage of the GGHZ state under X, Y, Z.
-
-    Elements live on Charlie's qubit.  The two zero-probability slots of
-    the (Z, Z) setting are stored as explicit zero matrices so that
-    normalization sums close.
-    """
-    t = check_theta(theta)
-    c, s = math.cos(t), math.sin(t)
-    q_plus = np.array([c, s], dtype=complex)
-    q_minus = np.array([c, -s], dtype=complex)
-    q_plus_i = np.array([c, 1j * s], dtype=complex)
-    q_minus_i = np.array([c, -1j * s], dtype=complex)
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-    elements: dict[tuple[int, ...], np.ndarray] = {}
-    for x in range(2):
-        for y in range(2):
-            for a in OUTCOMES:
-                for b in OUTCOMES:
-                    if x == y:
-                        # XX / YY settings: parity of outcomes picks the branch;
-                        # the YY setting swaps which parity gets the + branch.
-                        even = (a + b) % 2 == 0
-                        plus = even if x == 0 else not even
-                        v = q_plus if plus else q_minus
-                    else:
-                        # XY / YX settings: even parity picks the -i branch.
-                        even = (a + b) % 2 == 0
-                        v = q_minus_i if even else q_plus_i
-                    elements[(a, b, x, y)] = _proj(v) / 4
-    # One party measures Z while the other measures X or Y: the Z outcome
-    # fixes Charlie's state, the partner's outcome is uniform.
-    for other in range(2):
-        for a_z in OUTCOMES:
-            branch = (c**2 / 2) * p0 if a_z == 0 else (s**2 / 2) * p1
-            for a_other in OUTCOMES:
-                elements[(a_other, a_z, other, 2)] = branch  # Bob on Z
-                elements[(a_z, a_other, 2, other)] = branch  # Alice on Z
-    elements[(0, 0, 2, 2)] = c**2 * p0
-    elements[(1, 1, 2, 2)] = s**2 * p1
-    elements[(0, 1, 2, 2)] = np.zeros((2, 2), dtype=complex)
-    elements[(1, 0, 2, 2)] = np.zeros((2, 2), dtype=complex)
-    return Assemblage(Scenario.TWO_SIDED, elements, theta=t)
+    """Closed-form two-sided GGHZ assemblage under X, Y, Z (Alice, Bob measured)."""
+    return _gghz_assemblage(theta, Scenario.TWO_SIDED)
 
 
 def gghz_assemblage(theta, scenario: Scenario) -> Assemblage:
     """Closed-form GGHZ assemblage of the given scenario."""
-    if Scenario(scenario) is Scenario.ONE_SIDED:
-        return gghz_assemblage_1sdi(theta)
-    return gghz_assemblage_2sdi(theta)
+    # Looked up by name, so wrappers of the public builders see every build.
+    builders = (gghz_assemblage_1sdi, gghz_assemblage_2sdi)
+    return builders[Scenario(scenario).parties - 1](theta)
 
 
 def ghz_assemblage(scenario: Scenario) -> Assemblage:
@@ -408,35 +394,23 @@ def assemblage_from_state(state: PureState, parties, sets=None) -> Assemblage:
     if state.dim != 8:
         raise DimMismatchError(f"need a three-qubit state, got dim {state.dim}")
     party_str = "".join(parties).upper()
-    if party_str not in ("A", "AB"):
+    scenario = {"A": Scenario.ONE_SIDED, "AB": Scenario.TWO_SIDED}.get(party_str)
+    if scenario is None:
         raise BadMaskError(f"measured parties must be 'A' or 'AB', got {parties!r}")
+    k = scenario.parties
     if sets is None:
         sets = pauli_xyz()
     if isinstance(sets, MeasurementSet):
-        sets = (sets,) * len(party_str)
+        sets = (sets,) * k
     sets = tuple(sets)
-    if len(sets) != len(party_str):
+    if len(sets) != k:
         raise BadMaskError(f"need one measurement set per measured party, got {len(sets)}")
 
     rho = state.density_matrix()
-    eye2 = np.eye(2, dtype=complex)
+    trusted = np.eye(scenario.element_dim, dtype=complex)
     elements: dict[tuple[int, ...], np.ndarray] = {}
-    if party_str == "A":
-        set_a = sets[0]
-        for x in range(N_SETTINGS):
-            for a in OUTCOMES:
-                op = kron(set_a.projector(a, x), kron(eye2, eye2))
-                elements[(a, x)] = partial_trace(op @ rho, keep=(1, 2))
-        asm = Assemblage(Scenario.ONE_SIDED, elements, theta=state.theta)
-    else:
-        set_a, set_b = sets
-        for x in range(N_SETTINGS):
-            for y in range(N_SETTINGS):
-                for a in OUTCOMES:
-                    for b in OUTCOMES:
-                        op = kron(
-                            set_a.projector(a, x), kron(set_b.projector(b, y), eye2)
-                        )
-                        elements[(a, b, x, y)] = partial_trace(op @ rho, keep=(2,))
-        asm = Assemblage(Scenario.TWO_SIDED, elements, theta=state.theta)
-    return require_valid(asm)
+    for key in element_keys(scenario):
+        projectors = [m.projector(a, x) for m, a, x in zip(sets, key[:k], key[k:])]
+        op = functools.reduce(kron, projectors + [trusted])
+        elements[key] = partial_trace(op @ rho, keep=range(k, 3))
+    return require_valid(Assemblage(scenario, elements, theta=state.theta))

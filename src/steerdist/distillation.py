@@ -53,8 +53,8 @@ def check_kappa(kappa) -> float:
 
 def check_copies(n_copies) -> int:
     n = int(n_copies)
-    if n < 2:
-        raise ValueError(f"n_copies must be >= 2, got {n_copies}")
+    if n != n_copies or n < 2:
+        raise ValueError(f"n_copies must be an integer >= 2, got {n_copies}")
     return n
 
 

@@ -163,6 +163,4 @@ def witness_2sdi(asm: Assemblage) -> WitnessResult:
 
 def witness(asm: Assemblage) -> WitnessResult:
     """Dispatch to the witness matching the assemblage's scenario."""
-    if asm.scenario is Scenario.ONE_SIDED:
-        return witness_1sdi(asm)
-    return witness_2sdi(asm)
+    return (witness_1sdi, witness_2sdi)[asm.scenario.parties - 1](asm)

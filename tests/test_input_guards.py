@@ -11,12 +11,21 @@ import steerdist
 from steerdist.assemblage import (
     Assemblage,
     Scenario,
+    element_keys,
     gghz_assemblage_1sdi,
     gghz_assemblage_2sdi,
+    group_rows,
+    setting_groups,
     validate,
 )
 from steerdist.cli import main
-from steerdist.errors import InvariantViolationError, NoConvergenceError, SchemaError
+from steerdist.distillation import check_copies, distill
+from steerdist.errors import (
+    InvariantViolationError,
+    NoConvergenceError,
+    ScenarioMismatchError,
+    SchemaError,
+)
 from steerdist.linalg import eig_hermitian
 from steerdist.metrics import witness, witness_2sdi
 
@@ -122,3 +131,86 @@ def test_witness_refuses_non_psd_assemblage():
     elements[(1, 2)] = elements[(1, 2)] - shift
     with pytest.raises(InvariantViolationError):
         witness(Assemblage(Scenario.ONE_SIDED, elements))
+
+
+def test_assemblage_equality_is_identity():
+    a, b = gghz_assemblage_1sdi(0.3), gghz_assemblage_1sdi(0.3)
+    assert (a == a) is True
+    assert (a == b) is False
+    assert (a != b) is True
+    assert len({a, a, b}) == 2
+
+
+@pytest.mark.parametrize("scenario, n_keys, n_groups", [("1sdi", 6, 3), ("2sdi", 36, 9)])
+def test_scenario_strings_give_the_member_layout(scenario, n_keys, n_groups):
+    member = Scenario(scenario)
+    assert len(element_keys(scenario)) == n_keys
+    assert len(setting_groups(scenario)) == n_groups
+    assert element_keys(scenario) == element_keys(member)
+    assert setting_groups(scenario) == setting_groups(member)
+    np.testing.assert_array_equal(group_rows(scenario), group_rows(member))
+    assert group_rows(scenario).shape == (n_groups, n_keys // n_groups)
+
+
+def test_unknown_scenario_is_a_typed_error():
+    with pytest.raises(ScenarioMismatchError, match="3sdi"):
+        Scenario("3sdi")
+    with pytest.raises(ScenarioMismatchError):
+        element_keys("3sdi")
+    doc = dict(gghz_assemblage_1sdi(0.3).to_json_dict(), scenario="3sdi")
+    with pytest.raises(SchemaError):
+        Assemblage.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected_at_construction(theta):
+    asm = gghz_assemblage_1sdi(0.3)
+    with pytest.raises(InvariantViolationError, match="theta"):
+        Assemblage(asm.scenario, asm.elements, theta=theta)
+
+
+def _infinite_theta_text():
+    text = json.dumps(gghz_assemblage_2sdi(0.3).to_json_dict())
+    return text.replace('"theta": 0.3', '"theta": 1e400')
+
+
+def test_infinite_theta_in_json_rejected():
+    text = _infinite_theta_text()
+    assert "1e400" in text
+    with pytest.raises(InvariantViolationError, match="theta"):
+        Assemblage.from_json_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("command", [["validate"], ["optimize", "--n", "2", "--assemblage"]])
+def test_cli_reports_infinite_theta(tmp_path, capsys, command):
+    path = tmp_path / "inf_theta.json"
+    path.write_text(_infinite_theta_text(), encoding="utf-8")
+    assert main(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("n_copies", [2.9, 2.5, 3.000001, np.float64(4.5)])
+def test_non_integral_copies_rejected(n_copies):
+    with pytest.raises(ValueError, match="integer"):
+        check_copies(n_copies)
+    with pytest.raises(ValueError, match="integer"):
+        distill(gghz_assemblage_1sdi(0.3), 0.5, n_copies)
+
+
+@pytest.mark.parametrize("n_copies", [2, 3.0, np.int64(4), np.float64(5.0)])
+def test_integral_copies_accepted(n_copies):
+    n = check_copies(n_copies)
+    assert n == n_copies and type(n) is int
+
+
+def test_integers_past_the_float_range_are_a_schema_error():
+    doc = gghz_assemblage_1sdi(0.3).to_json_dict()
+    huge_theta = dict(doc, theta=10**400)
+    huge_entry = json.loads(json.dumps(doc))
+    huge_entry["elements"]["0|0"][0][0] = [10**400, 0]
+    for bad in (huge_theta, huge_entry):
+        with pytest.raises(SchemaError, match="OverflowError"):
+            Assemblage.from_json_dict(bad)

@@ -1,0 +1,173 @@
+"""Property tests over random inputs: closed form, distillation, JSON round
+trip and a fuzz of the JSON loader.
+
+Runs are derandomized and keep no example database, so every run draws the
+same examples.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from steerdist.assemblage import (  # noqa: E402
+    Assemblage,
+    Scenario,
+    assemblage_from_state,
+    convex_mix,
+    element_keys,
+    gghz_assemblage,
+    ghz_assemblage,
+    validate,
+)
+from steerdist.distillation import distill  # noqa: E402
+from steerdist.errors import SteerdistError  # noqa: E402
+from steerdist.metrics import assemblage_fidelity, witness  # noqa: E402
+from steerdist.states import THETA_MAX, gghz  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+thetas = st.floats(0.0, THETA_MAX)
+kappas = st.floats(0.0, 1.0)
+scenarios = st.sampled_from(list(Scenario))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(theta=thetas, scenario=scenarios)
+def test_closed_form_matches_generic_route(theta, scenario):
+    closed = gghz_assemblage(theta, scenario)
+    generic = assemblage_from_state(gghz(theta), "AB"[: scenario.parties])
+    assert generic.scenario is scenario
+    assert np.max(np.abs(closed.stack - generic.stack)) <= 1e-10
+    assert validate(closed).ok
+
+
+@PROPERTY
+@given(theta=thetas, scenario=scenarios)
+def test_closed_form_outcome_probabilities(theta, scenario):
+    k = scenario.parties
+    probs = gghz_assemblage(theta, scenario).probabilities()
+    for key, p in probs.items():
+        outcomes, settings_ = key[:k], key[k:]
+        if all(x == 2 for x in settings_):
+            z_all = {(0,) * k: math.cos(theta) ** 2, (1,) * k: math.sin(theta) ** 2}
+            expected = z_all.get(outcomes, 0.0)
+        elif all(x != 2 for x in settings_):
+            expected = 1 / 2**k
+        else:
+            continue
+        assert p == pytest.approx(expected, abs=1e-14)
+
+
+@PROPERTY
+@given(theta=thetas, kappa=kappas, n=st.integers(2, 8), scenario=scenarios)
+def test_distilled_assemblage_is_valid_and_fidelity_bounded(theta, kappa, n, scenario):
+    dist = distill(gghz_assemblage(theta, scenario), kappa, n)
+    assert validate(dist).ok
+    target = ghz_assemblage(scenario)
+    f = assemblage_fidelity(dist, target)
+    assert 0.0 <= f <= 1.0 + 1e-12
+    assert f == pytest.approx(assemblage_fidelity(target, dist), abs=1e-9)
+
+
+@PROPERTY
+@given(t1=thetas, t2=thetas, kappa=kappas, w=st.floats(0.0, 1.0), scenario=scenarios)
+def test_witness_is_affine_under_mixing(t1, t2, kappa, w, scenario):
+    a = gghz_assemblage(t1, scenario)
+    b = distill(gghz_assemblage(t2, scenario), kappa, 2)
+    mixed = witness(convex_mix([w, 1.0 - w], [a, b])).value
+    affine = w * witness(a).value + (1 - w) * witness(b).value
+    assert mixed == pytest.approx(affine, abs=1e-12)
+
+
+def _stacks(scenario):
+    d = scenario.element_dim
+    parts = hnp.arrays(
+        float,
+        (len(element_keys(scenario)), d, d, 2),
+        elements=finite_floats,
+    )
+    return parts.map(lambda a: a[..., 0] + 1j * a[..., 1])
+
+
+@PROPERTY
+@given(data=st.data(), scenario=scenarios, theta=st.none() | finite_floats)
+def test_json_round_trip_is_exact(data, scenario, theta):
+    stack = data.draw(_stacks(scenario))
+    asm = Assemblage(scenario, dict(zip(element_keys(scenario), stack)), theta=theta)
+    back = Assemblage.from_json_dict(json.loads(json.dumps(asm.to_json_dict())))
+    assert back.scenario is asm.scenario
+    assert np.array_equal(back.stack.view(np.uint64), asm.stack.view(np.uint64))
+    assert back.theta == asm.theta
+    if theta is not None:
+        assert math.copysign(1.0, back.theta) == math.copysign(1.0, theta)
+
+
+# JSON integers are unbounded, so numbers past the float range are valid input.
+json_numbers = st.integers(-(10**400), 10**400) | st.floats()
+json_scalars = st.none() | st.booleans() | json_numbers | st.text(max_size=6)
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def _near_documents():
+    """Documents that keep the top-level layout but vary every field."""
+    keys = st.sampled_from(["0|0", "1|2", "00|12", "01|22", "0|00", "2|0", "a|b", "|"])
+    matrices = st.one_of(
+        json_values,
+        st.lists(st.lists(st.lists(json_numbers, max_size=3), max_size=5), max_size=5),
+    )
+    return st.fixed_dictionaries(
+        {"scenario": st.sampled_from(["1sdi", "2sdi", "3sdi"]) | json_values},
+        optional={
+            "elements": st.dictionaries(keys, matrices, max_size=6) | json_values,
+            "theta": json_values,
+        },
+    )
+
+
+def _paths(node, prefix=()):
+    """Every path from the root of a JSON document to one of its nodes."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key in node if isinstance(node, dict) else range(len(node)):
+            yield from _paths(node[key], prefix + (key,))
+
+
+VALID_DOCUMENTS = [gghz_assemblage(0.3, sc).to_json_dict() for sc in Scenario]
+DOCUMENT_PATHS = [(i, p) for i, doc in enumerate(VALID_DOCUMENTS) for p in _paths(doc)]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with one node, at any depth, replaced by a JSON value."""
+    i, path = draw(st.sampled_from(DOCUMENT_PATHS))
+    doc = json.loads(json.dumps(VALID_DOCUMENTS[i]))
+    if not path:
+        return draw(json_values)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@FUZZ
+@given(doc=_mutated_documents() | _near_documents() | json_values)
+def test_json_loader_fuzz(doc):
+    try:
+        asm = Assemblage.from_json_dict(doc)
+    except SteerdistError:
+        return
+    assert isinstance(asm, Assemblage)
