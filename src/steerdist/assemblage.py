@@ -99,6 +99,13 @@ def _key_from_str(s: str, scenario: Scenario) -> tuple[int, ...]:
     return tuple(int(c) for c in "".join(parts))
 
 
+def _json_number(x) -> float:
+    """A number from the interchange format; JSON true/false and text are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 @dataclass
 class Violation:
     check: str
@@ -212,11 +219,13 @@ class Assemblage:
             scenario = Scenario(doc["scenario"])
             elements = {
                 _key_from_str(key_s, scenario): np.array(
-                    [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+                    [[complex(_json_number(re), _json_number(im)) for re, im in row]
+                     for row in rows],
+                    dtype=complex,
                 )
                 for key_s, rows in doc["elements"].items()
             }
-            theta = None if doc.get("theta") is None else float(doc["theta"])
+            theta = None if doc.get("theta") is None else _json_number(doc["theta"])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(
                 f"malformed assemblage JSON ({type(exc).__name__}: {exc})"

@@ -34,14 +34,15 @@ from .states import check_theta
 # Success probabilities below this are treated as certain failure.
 P_SUCC_FLOOR = 1e-12
 
-# Optimizer knobs: dense pre-scan guards against multimodality of
-# arbitrary input assemblages, golden section refines the best cell.
+# Optimizer knobs: the dense first scan guards against multimodality of
+# arbitrary input assemblages; each refinement re-scans the best point's two
+# neighbouring cells with REFINE_POINTS points until they span BRACKET_TOL.
 PRE_SCAN_POINTS = 1001
+REFINE_POINTS = 9
 BRACKET_TOL = 1e-8
 # Fidelity differences below this are ties; well above eigensolver noise
 # (~1e-15) and well below the optimizer's accuracy budget.
 F_TIE_TOL = 1e-12
-_INVPHI = (math.sqrt(5) - 1) / 2
 
 
 def check_kappa(kappa) -> float:
@@ -52,8 +53,11 @@ def check_kappa(kappa) -> float:
 
 
 def check_copies(n_copies) -> int:
-    n = int(n_copies)
-    if n != n_copies or n < 2:
+    try:
+        n = int(n_copies)
+    except (OverflowError, TypeError, ValueError):   # inf, None, NaN, text
+        n = None
+    if n is None or n != n_copies or n < 2:
         raise ValueError(f"n_copies must be an integer >= 2, got {n_copies}")
     return n
 
@@ -189,24 +193,6 @@ class OptimizationResult:
     bracket_width: float
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximization; returns (argmax, bracket_width)."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-    return (a + b) / 2, b - a
-
-
 def optimize_kappa(
     source,
     n_copies: int,
@@ -218,9 +204,11 @@ def optimize_kappa(
     ``source`` is either a GGHZ angle (an assemblage is built for the given
     scenario, one-sided by default) or an arbitrary valid assemblage.
     ``target`` defaults to the perfectly steerable GHZ assemblage of the
-    matching scenario.  A dense pre-scan locates the best cell, golden
-    section refines it to a bracket of width <= 1e-8, and exact fidelity
-    ties resolve to the larger kappa (higher success probability).
+    matching scenario.  A dense scan of [0, 1] finds the best point; its
+    two neighbouring cells are re-scanned on a finer grid until they span
+    at most 1e-8 (``bracket_width``).  The refined point then competes with
+    the two domain ends, and fidelities within ``F_TIE_TOL`` of the best
+    resolve to the larger kappa (higher success probability).
     """
     n = check_copies(n_copies)
     if isinstance(source, Assemblage):
@@ -245,42 +233,39 @@ def optimize_kappa(
     rows = group_rows(asm.scenario)
     evaluations = 0
 
-    def objective(kappas) -> np.ndarray:
+    def scan(grid) -> np.ndarray:
         nonlocal evaluations
-        evaluations += np.size(kappas)
-        f = fidelity_terms(_distilled(asm, kappas, n), roots)   # (K, E)
-        return f[:, rows].sum(axis=2).min(axis=1)
+        evaluations += len(grid)
+        f = fidelity_terms(_distilled(asm, grid, n), roots)   # (K, E)
+        values = f[:, rows].sum(axis=2).min(axis=1)
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteObjectiveError(
+                f"objective produced NaN or Inf on kappa in [{grid[0]}, {grid[-1]}]"
+            )
+        return values
 
     grid = np.linspace(0.0, 1.0, PRE_SCAN_POINTS)
-    values = objective(grid)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteObjectiveError("objective produced NaN or Inf during pre-scan")
-    # argmax with exact ties resolved to the larger kappa
-    best = len(values) - 1 - int(np.argmax(values[::-1]))
+    values = scan(grid)
+    ends = [(values[0], 0.0), (values[-1], 1.0)]
+    while True:
+        # argmax with exact ties resolved to the larger kappa
+        best = len(grid) - 1 - int(np.argmax(values[::-1]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+        if hi - lo <= BRACKET_TOL:
+            break
+        grid = np.linspace(lo, hi, REFINE_POINTS)
+        values = scan(grid)
 
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    kappa_star, width = _golden_section_max(
-        lambda k: float(objective(k)[0]), lo, hi, BRACKET_TOL
-    )
-
-    # Domain endpoints never fall strictly inside a golden bracket; compare
-    # them explicitly so a boundary maximum reports kappa exactly 0 or 1.
-    candidates = [kappa_star]
-    if hi >= 1.0 - BRACKET_TOL:
-        candidates.append(1.0)
-    if lo <= BRACKET_TOL:
-        candidates.append(0.0)
-    scored = list(zip(objective(candidates).tolist(), candidates))
+    # A boundary maximum reports kappa exactly 0 or 1: the domain ends,
+    # already scanned, compete with the refined point, larger kappa on ties.
+    scored = [(values[best], grid[best])] + ends
     best_f = max(f_val for f_val, _ in scored)
     f_star, kappa_star = max(
         (s for s in scored if s[0] >= best_f - F_TIE_TOL), key=lambda s: s[1]
     )
-    if not math.isfinite(f_star):
-        raise NonFiniteObjectiveError(f"fidelity at kappa = {kappa_star} is not finite")
     return OptimizationResult(
         kappa_star=float(kappa_star),
         f_star=float(f_star),
         evaluations=evaluations,
-        bracket_width=float(width),
+        bracket_width=float(hi - lo),
     )

@@ -11,6 +11,7 @@ from steerdist.assemblage import (
     setting_groups,
     validate,
 )
+from steerdist import distillation
 from steerdist.distillation import (
     DistillationConfig,
     apply_filter,
@@ -25,6 +26,7 @@ from steerdist.distillation import (
 )
 from steerdist.errors import (
     KappaOutOfRangeError,
+    NonFiniteObjectiveError,
     ScenarioMismatchError,
     ThetaOutOfRangeError,
     ZeroSuccessProbabilityError,
@@ -324,6 +326,24 @@ class TestOptimizeKappa:
     def test_evaluation_accounting(self):
         res = optimize_kappa(0.3, 2)
         assert res.evaluations >= 1001
+
+    def test_nan_in_refinement_scan_raises(self, monkeypatch):
+        # the first scan is clean; one NaN in the next (finer) scan must stop
+        # the search instead of being compared away
+        real = distillation.fidelity_terms
+        calls = []
+
+        def nan_on_second_call(stacks, roots):
+            f = real(stacks, roots)
+            calls.append(len(f))
+            if len(calls) == 2:
+                f[len(f) // 2, 0] = np.nan
+            return f
+
+        monkeypatch.setattr(distillation, "fidelity_terms", nan_on_second_call)
+        with pytest.raises(NonFiniteObjectiveError):
+            optimize_kappa(0.3, 2)
+        assert calls[0] == distillation.PRE_SCAN_POINTS and len(calls) == 2
 
     def test_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatchError):

@@ -75,7 +75,11 @@ def _malformed_documents():
     scalar = json.loads(json.dumps(doc))
     scalar["elements"]["0|0"] = 0.5
     text_theta = dict(doc, theta="pi/8")
+    bool_entry = json.loads(json.dumps(doc))
+    bool_entry["elements"]["0|0"][0][0] = [True, False]
     return {
+        "bool_theta": dict(doc, theta=True),
+        "bool_entry": bool_entry,
         "missing_scenario": missing_scenario,
         "top_level_list": [doc],
         "wrongly_nested_matrix": flat,
@@ -192,7 +196,9 @@ def test_cli_reports_infinite_theta(tmp_path, capsys, command):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("n_copies", [2.9, 2.5, 3.000001, np.float64(4.5)])
+@pytest.mark.parametrize(
+    "n_copies", [2.9, 2.5, 3.000001, np.float64(4.5), math.inf, math.nan, None]
+)
 def test_non_integral_copies_rejected(n_copies):
     with pytest.raises(ValueError, match="integer"):
         check_copies(n_copies)

@@ -1,5 +1,6 @@
-"""Property tests over random inputs: closed form, distillation, JSON round
-trip and a fuzz of the JSON loader.
+"""Property tests over random inputs: closed form, distillation of GGHZ and
+of general sources, the kappa optimizer, JSON round trip and a fuzz of the
+JSON loader.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -25,12 +26,22 @@ from steerdist.assemblage import (  # noqa: E402
     ghz_assemblage,
     validate,
 )
-from steerdist.distillation import distill  # noqa: E402
+from steerdist.distillation import distill, optimize_kappa  # noqa: E402
 from steerdist.errors import SteerdistError  # noqa: E402
 from steerdist.metrics import assemblage_fidelity, witness  # noqa: E402
-from steerdist.states import THETA_MAX, gghz  # noqa: E402
+from steerdist.states import (  # noqa: E402
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    THETA_MAX,
+    MeasurementSet,
+    PureState,
+    gghz,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# optimize_kappa costs tens of milliseconds per example
+OPTIMIZER = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 thetas = st.floats(0.0, THETA_MAX)
@@ -85,6 +96,54 @@ def test_witness_is_affine_under_mixing(t1, t2, kappa, w, scenario):
     mixed = witness(convex_mix([w, 1.0 - w], [a, b])).value
     affine = w * witness(a).value + (1 - w) * witness(b).value
     assert mixed == pytest.approx(affine, abs=1e-12)
+
+
+def _rz(t):
+    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+
+def _rotated_paulis(a, b, c):
+    """X, Y, Z conjugated by the qubit rotation Rz(a) Ry(b) Rz(c)."""
+    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)], [math.sin(b / 2), math.cos(b / 2)]])
+    u = _rz(a) @ ry @ _rz(c)
+    return MeasurementSet(tuple(u @ o @ u.conj().T for o in (PAULI_X, PAULI_Y, PAULI_Z)))
+
+
+amplitudes = hnp.arrays(float, (8, 2), elements=st.floats(-1.0, 1.0)).map(
+    lambda a: a[:, 0] + 1j * a[:, 1]
+).filter(lambda v: np.linalg.norm(v) > 0.1)
+angles = st.floats(0.0, 2 * math.pi)
+
+
+@st.composite
+def general_sources(draw):
+    """A valid assemblage from a random 3-qubit state and rotated Pauli sets."""
+    scenario = draw(scenarios)
+    psi = draw(amplitudes)
+    sets = [_rotated_paulis(draw(angles), draw(angles), draw(angles))
+            for _ in range(scenario.parties)]
+    state = PureState(psi / np.linalg.norm(psi))
+    return assemblage_from_state(state, "AB"[: scenario.parties], sets)
+
+
+@PROPERTY
+@given(source=general_sources(), kappa=kappas, n=st.integers(2, 8))
+def test_distilled_general_source_is_valid_and_fidelity_bounded(source, kappa, n):
+    dist = distill(source, kappa, n)
+    assert validate(dist).ok
+    f = assemblage_fidelity(dist, ghz_assemblage(source.scenario))
+    assert 0.0 <= f <= 1.0 + 1e-12
+
+
+@OPTIMIZER
+@given(source=general_sources(), n=st.integers(2, 8))
+def test_optimizer_beats_coarse_grid_on_general_source(source, n):
+    target = ghz_assemblage(source.scenario)
+    res = optimize_kappa(source, n)
+    grid = [assemblage_fidelity(distill(source, k, n), target) for k in np.linspace(0, 1, 101)]
+    assert res.f_star >= max(grid) - 1e-9
+    at_star = assemblage_fidelity(distill(source, res.kappa_star, n), target)
+    assert res.f_star == pytest.approx(at_star, abs=1e-9)
 
 
 def _stacks(scenario):

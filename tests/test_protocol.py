@@ -181,3 +181,45 @@ class TestRunProtocol:
         ):
             assert field in doc
         json.dumps(doc)
+
+
+# (theta, kappa, n, trials, seed) -> (success_count, bitstring_histogram),
+# recorded once; the seeded output is promised to be reproducible bit for bit.
+PINNED_RUNS = {
+    (0.3927, 0.5858, 2, 50, 11): (26, {"01": 26, "10": 24}),
+    (0.3, 0.6, 5, 60, 12): (51, {
+        "00001": 3, "00011": 3, "00101": 5, "00111": 1, "01001": 3, "01011": 2,
+        "01101": 3, "01111": 5, "10001": 1, "10011": 7, "10101": 2, "10111": 2,
+        "11001": 5, "11011": 4, "11101": 5, "11110": 9,
+    }),
+    (0.7, 0.9, 8, 40, 13): (40, {
+        "00000001": 19, "00000011": 3, "00000101": 1, "00010001": 6,
+        "00100001": 2, "00101011": 1, "01000011": 1, "01000101": 1,
+        "01100001": 1, "10000001": 3, "10000011": 1, "10000111": 1,
+    }),
+}
+
+
+class TestSeededOutputPinned:
+    @pytest.mark.parametrize("args", sorted(PINNED_RUNS))
+    def test_recorded_histogram(self, args):
+        out = run_protocol(*args)
+        success_count, histogram = PINNED_RUNS[args]
+        assert out.success_count == success_count
+        assert out.bitstring_histogram == histogram
+
+    @pytest.mark.parametrize("args", sorted(PINNED_RUNS))
+    def test_independent_replay(self, args):
+        # Replays the protocol from the raw Philox stream without steerdist:
+        # bit n is 1 on filter failure of copy n, the last bit on run success.
+        theta, kappa, n, trials, seed = args
+        p = kappa**2 * math.cos(theta) ** 2 + math.sin(theta) ** 2
+        draws = np.random.Generator(np.random.Philox(key=seed)).random((trials, n - 1))
+        early_fail = draws >= p
+        bits = np.column_stack([early_fail, ~early_fail.all(axis=1)]).astype(np.int64)
+        codes = bits @ (1 << np.arange(n - 1, -1, -1))
+        counts = np.bincount(codes, minlength=2**n)
+        replay = {format(c, f"0{n}b"): int(k) for c, k in enumerate(counts) if k}
+        out = run_protocol(*args)
+        assert out.bitstring_histogram == replay
+        assert out.success_count == int(bits[:, -1].sum())
