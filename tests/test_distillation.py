@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from steerdist import distillation
 from steerdist.assemblage import (
     Scenario,
     gghz_assemblage_1sdi,
@@ -11,7 +12,6 @@ from steerdist.assemblage import (
     setting_groups,
     validate,
 )
-from steerdist import distillation
 from steerdist.distillation import (
     DistillationConfig,
     apply_filter,
