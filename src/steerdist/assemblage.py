@@ -21,6 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (
+    BadArgumentError,
     BadMaskError,
     DimMismatchError,
     InvariantViolationError,
@@ -244,11 +245,22 @@ class Assemblage:
 
 
 def convex_mix(weights, assemblages) -> Assemblage:
-    """Elementwise convex mixture of assemblages from one scenario."""
+    """Elementwise convex mixture of assemblages from one scenario.
+
+    The weights must be finite, non-negative and sum to 1 within
+    TOL_ASSEMBLAGE, so that the mixture is an assemblage again.
+    """
     assemblages = list(assemblages)
-    weights = [float(w) for w in weights]
+    try:
+        weights = [float(w) for w in weights]
+    except (TypeError, ValueError) as exc:   # None, complex, text
+        raise BadArgumentError(f"mixing weights must be real numbers ({exc})") from exc
     if len(weights) != len(assemblages) or not assemblages:
-        raise ValueError("need one weight per assemblage")
+        raise BadArgumentError("need one weight per assemblage")
+    if not all(0.0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > TOL_ASSEMBLAGE:
+        raise BadArgumentError(
+            f"mixing weights must be finite, non-negative and sum to 1, got {weights}"
+        )
     scenario = assemblages[0].scenario
     if any(a.scenario is not scenario for a in assemblages):
         raise ScenarioMismatchError("cannot mix assemblages across scenarios")
@@ -271,6 +283,8 @@ def validate(
     Returns a report listing every violated invariant with its maximum
     deviation; an empty report means the assemblage is valid.
     """
+    if not isinstance(asm, Assemblage):
+        raise BadArgumentError(f"expected an Assemblage, got {type(asm).__name__}")
     report = ValidationReport()
     s = asm.stack
     keys = [_key_str(k) for k in element_keys(asm.scenario)]

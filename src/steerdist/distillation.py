@@ -22,12 +22,13 @@ from .assemblage import (
     require_valid,
 )
 from .errors import (
+    BadArgumentError,
     KappaOutOfRangeError,
     NonFiniteObjectiveError,
     ScenarioMismatchError,
     ZeroSuccessProbabilityError,
 )
-from .linalg import psd_sqrt
+from .linalg import _psd_factors
 from .metrics import fidelity_terms
 from .states import check_theta
 
@@ -46,20 +47,29 @@ F_TIE_TOL = 1e-12
 
 
 def check_kappa(kappa) -> float:
-    k = float(kappa)
+    try:
+        k = float(kappa)
+    except (TypeError, ValueError) as exc:   # None, complex, text
+        raise KappaOutOfRangeError(f"kappa must be a real number, got {kappa!r}") from exc
     if not (0.0 <= k <= 1.0):
         raise KappaOutOfRangeError(f"kappa = {k} outside [0, 1]")
     return k
 
 
-def check_copies(n_copies) -> int:
+def check_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int when it is integral and in [low, high); else BadArgumentError."""
     try:
-        n = int(n_copies)
+        n = int(value)
     except (OverflowError, TypeError, ValueError):   # inf, None, NaN, text
         n = None
-    if n is None or n != n_copies or n < 2:
-        raise ValueError(f"n_copies must be an integer >= 2, got {n_copies}")
+    if n is None or n != value or n < low or (high is not None and n >= high):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise BadArgumentError(f"{name} must be an integer {span}, got {value}")
     return n
+
+
+def check_copies(n_copies) -> int:
+    return check_integer(n_copies, "n_copies", 2)
 
 
 @dataclass(frozen=True)
@@ -227,16 +237,19 @@ def optimize_kappa(
             f"target is {target.scenario.value}, source is {asm.scenario.value}"
         )
 
-    # Root fidelity is symmetric, so rooting the fixed target once keeps
-    # each evaluation at one eigensolve per element.
-    roots = psd_sqrt(target.stack)
+    # Root fidelity is symmetric, so factoring the fixed target once keeps
+    # each evaluation at one eigensolve per element.  When every target
+    # element has rank <= 1 (the GHZ target does), the dense first scan uses
+    # the d x 1 factors and needs none; the refinement keeps the roots.
+    factors, roots = _psd_factors(target.stack)
+    first = roots if factors[..., :-1].any() else factors[..., -1:]
     rows = group_rows(asm.scenario)
     evaluations = 0
 
-    def scan(grid) -> np.ndarray:
+    def scan(grid, ref) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(grid)
-        f = fidelity_terms(_distilled(asm, grid, n), roots)   # (K, E)
+        f = fidelity_terms(_distilled(asm, grid, n), ref)   # (K, E)
         values = f[:, rows].sum(axis=2).min(axis=1)
         if not np.all(np.isfinite(values)):
             raise NonFiniteObjectiveError(
@@ -245,7 +258,7 @@ def optimize_kappa(
         return values
 
     grid = np.linspace(0.0, 1.0, PRE_SCAN_POINTS)
-    values = scan(grid)
+    values = scan(grid, first)
     ends = [(values[0], 0.0), (values[-1], 1.0)]
     while True:
         # argmax with exact ties resolved to the larger kappa
@@ -254,7 +267,7 @@ def optimize_kappa(
         if hi - lo <= BRACKET_TOL:
             break
         grid = np.linspace(lo, hi, REFINE_POINTS)
-        values = scan(grid)
+        values = scan(grid, roots)
 
     # A boundary maximum reports kappa exactly 0 or 1: the domain ends,
     # already scanned, compete with the refined point, larger kappa on ties.

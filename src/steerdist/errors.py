@@ -29,6 +29,10 @@ class BadMaskError(SteerdistError, ValueError):
     """Subsystem or party mask is empty, out of range, or invalid."""
 
 
+class BadArgumentError(SteerdistError, ValueError):
+    """Argument of the wrong kind or out of range: a count, seed, weight or assemblage."""
+
+
 class ThetaOutOfRangeError(SteerdistError, ValueError):
     """State angle outside [0, pi/4]."""
 

@@ -112,12 +112,17 @@ def clamp_spectrum(w: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     return np.where(w < cut, 0.0, w)
 
 
+def _psd_factors(m, tol: float = TOL_PSD) -> tuple[np.ndarray, np.ndarray]:
+    """F = V sqrt(W) and the principal root; F F^dagger == m, columns by ascending eigenvalue."""
+    w, v = eig_hermitian(m)
+    factor = v * np.sqrt(clamp_spectrum(w, tol))[..., None, :]
+    root = factor @ dagger(v)
+    return factor, (root + dagger(root)) / 2
+
+
 def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
     """Principal square root of a PSD matrix (or stack) via eigendecomposition."""
-    w, v = eig_hermitian(m)
-    w = clamp_spectrum(w, tol)
-    root = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
-    return (root + dagger(root)) / 2
+    return _psd_factors(m, tol)[1]
 
 
 def kron(a, b) -> np.ndarray:

@@ -34,14 +34,19 @@ COEFF_2SDI_CORRELATOR = 0.2582
 MARGINAL_SETTING = 2
 
 
-def fidelity_terms(stacks, roots) -> np.ndarray:
-    """Root fidelities Tr sqrt(r sigma r) of (..., E, d, d) stacks against (E, d, d) roots.
+def fidelity_terms(stacks, factors) -> np.ndarray:
+    """Root fidelities Tr sqrt(R^dag sigma R) of (..., E, d, d) stacks against (E, d, r) factors.
 
-    ``roots`` holds the principal square roots of the reference elements;
-    the result has shape (..., E).  Inputs are trusted to be PSD.
+    R R^dag is the reference element, and R is either its principal root
+    (r = d, used as R^dag) or, for a rank <= 1 element, the column u (r = 1),
+    which gives sqrt(u^dag sigma u) with no eigensolve (Nielsen & Chuang,
+    sec. 9.2.2).  The result has shape (..., E).  Inputs are trusted PSD.
     """
-    m = roots @ stacks @ roots
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    if factors.shape[-1] == 1:
+        w = np.einsum("eir,...eij,ejr->...er", factors.conj(), stacks, factors).real
+    else:
+        m = factors @ stacks @ factors
+        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
     return np.sqrt(clamp_spectrum(w)).sum(axis=-1)
 
 

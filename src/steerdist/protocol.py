@@ -22,8 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblage import Assemblage, convex_mix, gghz_assemblage_1sdi
-from .distillation import P_SUCC_FLOOR, apply_filter, check_copies, check_kappa, make_filter
+from .distillation import (
+    P_SUCC_FLOOR,
+    apply_filter,
+    check_copies,
+    check_integer,
+    check_kappa,
+    make_filter,
+)
+from .errors import BadArgumentError
 from .states import check_theta
+
+# Cap on the filter outcomes one run draws, trials x (N - 1).  Sampling and
+# histogramming peak at 15-21 bytes per draw (measured for N = 2..8), so a
+# run at the cap needs about 0.7 GB.
+MAX_DRAWS = 2**25
 
 
 def single_copy_success_probability(theta, kappa) -> float:
@@ -80,12 +93,15 @@ def run_protocol(theta, kappa, n_copies: int, trials: int, seed: int) -> SimOutc
     t = check_theta(theta)
     k = check_kappa(kappa)
     n = check_copies(n_copies)
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = check_integer(trials, "trials", 1)
+    seed = check_integer(seed, "seed", 0, 2**128)   # a Philox key is 128 bits
+    if trials * (n - 1) > MAX_DRAWS:
+        raise BadArgumentError(
+            f"trials x (n_copies - 1) = {trials * (n - 1)} draws exceeds the cap of {MAX_DRAWS}"
+        )
     p = single_copy_success_probability(t, k)
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.random((trials, n - 1))
     early_fail = draws >= p                       # c_n = 1 on filter failure
     run_success = ~early_fail.all(axis=1)
@@ -111,7 +127,7 @@ def run_protocol(theta, kappa, n_copies: int, trials: int, seed: int) -> SimOutc
         kappa=k,
         n_copies=n,
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         success_count=success_count,
         bitstring_histogram=histogram,
         empirical_assemblage=empirical,

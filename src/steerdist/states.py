@@ -23,7 +23,10 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 def check_theta(theta) -> float:
     """Validate a GGHZ angle against the domain [0, pi/4]."""
-    t = float(theta)
+    try:
+        t = float(theta)
+    except (TypeError, ValueError) as exc:   # None, complex, text
+        raise ThetaOutOfRangeError(f"theta must be a real number, got {theta!r}") from exc
     if not (0.0 <= t <= THETA_MAX + 1e-12):
         raise ThetaOutOfRangeError(f"theta = {t} outside [0, pi/4]")
     return min(t, THETA_MAX)

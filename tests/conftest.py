@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerdist.assemblage import element_keys
+from steerdist.assemblage import Assemblage, element_keys
 
 
 def random_hermitian(rng, dim):
@@ -20,6 +20,13 @@ def max_element_diff(asm1, asm2):
         float(np.max(np.abs(asm1.elements[k] - asm2.elements[k])))
         for k in element_keys(asm1.scenario)
     )
+
+
+def white_noise(scenario):
+    """Assemblage whose every element is identity / (d * outcomes per setting)."""
+    d, k = scenario.element_dim, scenario.parties
+    keys = element_keys(scenario)
+    return Assemblage(scenario, {key: np.eye(d, dtype=complex) / (d * 2**k) for key in keys})
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from steerdist import distillation
 from steerdist.assemblage import (
     Scenario,
+    convex_mix,
+    gghz_assemblage,
     gghz_assemblage_1sdi,
     gghz_assemblage_2sdi,
     ghz_assemblage,
@@ -33,7 +36,7 @@ from steerdist.errors import (
 )
 from steerdist.metrics import assemblage_fidelity, root_fidelity
 
-from conftest import max_element_diff
+from conftest import max_element_diff, white_noise
 
 PI4 = math.pi / 4
 PI8 = math.pi / 8
@@ -351,6 +354,88 @@ class TestOptimizeKappa:
         with pytest.raises(ScenarioMismatchError):
             optimize_kappa(0.3, 2, target=ghz_assemblage(Scenario.TWO_SIDED))
 
+    @staticmethod
+    def _factor_widths(monkeypatch, *args, **kwargs):
+        real = distillation.fidelity_terms
+        widths = []
+
+        def spy(stacks, factors):
+            widths.append(factors.shape[-1])
+            return real(stacks, factors)
+
+        monkeypatch.setattr(distillation, "fidelity_terms", spy)
+        optimize_kappa(*args, **kwargs)
+        return widths
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_rank_one_target_uses_column_factors_on_first_scan_only(self, monkeypatch, scenario):
+        widths = self._factor_widths(monkeypatch, 0.3, 3, scenario=scenario)
+        d = scenario.element_dim
+        assert len(widths) > 1
+        assert widths == [1] + [d] * (len(widths) - 1)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_full_rank_target_keeps_square_roots(self, monkeypatch, scenario):
+        target = convex_mix([0.9, 0.1], [ghz_assemblage(scenario), white_noise(scenario)])
+        widths = self._factor_widths(monkeypatch, 0.3, 3, target=target, scenario=scenario)
+        assert len(widths) > 1
+        assert set(widths) == {scenario.element_dim}
+
+
+# optimize_kappa output recorded at 6724a64, before the first scan moved to
+# the rank-one kernel: kappa_star, f_star and bracket_width as float.hex,
+# and evaluations.  Both kernels must reproduce it bit for bit.
+PINNED_OPTIMA = {
+    ("1sdi", "0", 2): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("1sdi", "0", 5): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("1sdi", "0", 100): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("1sdi", "0.1", 2): ("0x1.0293c16872b02p-1", "0x1.9443246bb9023p-1", 1082, "0x1.0624dd0000000p-27"),
+    ("1sdi", "0.1", 5): ("0x1.8079b43958106p-2", "0x1.a35f383af75c0p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0.1", 100): ("0x1.fe2d0d4fdf3b6p-4", "0x1.f516526d1f0d8p-1", 1082, "0x1.0624dd2800000p-27"),
+    ("1sdi", "0.3", 2): ("0x1.187f126e978d4p-1", "0x1.d3db611fbd4b7p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0.3", 5): ("0x1.bac0533333333p-2", "0x1.e9d903b271aeep-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0.3", 100): ("0x1.3cc2a5e353f7dp-2", "0x1.fffffffac91dap-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0.5", 2): ("0x1.4c66fc8b43958p-1", "0x1.f5d04e0e5d964p-1", 1082, "0x1.0624dd0000000p-27"),
+    ("1sdi", "0.5", 5): ("0x1.25558b4395812p-1", "0x1.fe68d1b06d407p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0.5", 100): ("0x1.17b4f5e353f7dp-1", "0x1.0000000000000p+0", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "pi/4", 2): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
+    ("1sdi", "pi/4", 5): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
+    ("1sdi", "pi/4", 100): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0", 2): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("2sdi", "0", 5): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("2sdi", "0", 100): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("2sdi", "0.1", 2): ("0x1.0293c1cac0831p-1", "0x1.9443246bb9022p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.1", 5): ("0x1.8079b3b645a1cp-2", "0x1.a35f383af75c0p-1", 1082, "0x1.0624dd2000000p-27"),
+    ("2sdi", "0.1", 100): ("0x1.fe2d0d4fdf3b6p-4", "0x1.f516526d1f0d8p-1", 1082, "0x1.0624dd2800000p-27"),
+    ("2sdi", "0.3", 2): ("0x1.187f126e978d4p-1", "0x1.d3db611fbd4b7p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.3", 5): ("0x1.bac053f7ced91p-2", "0x1.e9d903b271aedp-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.3", 100): ("0x1.3cc2a5e353f7dp-2", "0x1.fffffffac91d9p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.5", 2): ("0x1.4c66fc083126ep-1", "0x1.f5d04e0e5d964p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.5", 5): ("0x1.25558a9fbe76ep-1", "0x1.fe68d1b06d408p-1", 1082, "0x1.0624dd0000000p-27"),
+    ("2sdi", "0.5", 100): ("0x1.17b4f624dd2f1p-1", "0x1.0000000000000p+0", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "pi/4", 2): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("2sdi", "pi/4", 5): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("2sdi", "pi/4", 100): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("1sdi", "ghz", 3): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
+    ("2sdi", "ghz", 3): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("2sdi", "noisy", 4): ("0x1.75ffddf3b645ap-2", "0x1.c3be98d68765cp-1", 1082, "0x1.0624dd2000000p-27"),
+}
+PIN_THETAS = {"0": 0.0, "0.1": 0.1, "0.3": 0.3, "0.5": 0.5, "pi/4": PI4}
+
+
+@pytest.mark.parametrize("scenario, source, n", sorted(PINNED_OPTIMA))
+def test_optimizer_output_is_pinned(scenario, source, n):
+    scenario = Scenario(scenario)
+    if source == "ghz":
+        res = optimize_kappa(ghz_assemblage(scenario), n)
+    elif source == "noisy":
+        noisy = convex_mix([0.85, 0.15], [gghz_assemblage(0.3, scenario), white_noise(scenario)])
+        res = optimize_kappa(noisy, n)
+    else:
+        res = optimize_kappa(PIN_THETAS[source], n, scenario=scenario)
+    got = (res.kappa_star.hex(), res.f_star.hex(), res.evaluations, res.bracket_width.hex())
+    assert got == PINNED_OPTIMA[scenario.value, source, n]
+
 
 class TestScenarioEquality:
     @pytest.mark.parametrize("theta", np.linspace(0.02, PI4, 6))
@@ -377,3 +462,29 @@ class TestUnimodality:
         signs = np.sign(diffs[np.abs(diffs) > 1e-13])
         changes = int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
         assert changes <= 1
+
+
+@functools.cache
+def _gghz_optimum(theta, n, scenario):
+    return optimize_kappa(theta, n, scenario=scenario)
+
+
+FINITE_N_GRID = [(theta, n) for theta in (0.05, 0.2, 0.4, 0.6, PI4) for n in (2, 3, 6, 20)]
+
+
+class TestFiniteNClaims:
+    @pytest.mark.parametrize("theta, n", FINITE_N_GRID)
+    def test_one_optimal_filter_for_both_scenarios(self, theta, n):
+        # sweep --filter optimal fills its 2sDI columns with the 1sDI kappa*
+        k1 = _gghz_optimum(theta, n, Scenario.ONE_SIDED).kappa_star
+        k2 = _gghz_optimum(theta, n, Scenario.TWO_SIDED).kappa_star
+        assert abs(k1 - k2) <= 1e-7
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("theta, n", FINITE_N_GRID)
+    def test_optimal_filter_dominates_none_and_asymptotic(self, theta, n, scenario):
+        source = gghz_assemblage(theta, scenario)
+        target = ghz_assemblage(scenario)
+        f_none = assemblage_fidelity(source, target)
+        f_asym = assemblage_fidelity(distill(source, asymptotic_kappa(theta), n), target)
+        assert _gghz_optimum(theta, n, scenario).f_star >= max(f_none, f_asym) - 1e-12

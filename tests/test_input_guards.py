@@ -11,6 +11,7 @@ import steerdist
 from steerdist.assemblage import (
     Assemblage,
     Scenario,
+    convex_mix,
     element_keys,
     gghz_assemblage_1sdi,
     gghz_assemblage_2sdi,
@@ -19,15 +20,20 @@ from steerdist.assemblage import (
     validate,
 )
 from steerdist.cli import main
-from steerdist.distillation import check_copies, distill
+from steerdist.distillation import check_copies, distill, make_filter
 from steerdist.errors import (
+    BadArgumentError,
     InvariantViolationError,
+    KappaOutOfRangeError,
     NoConvergenceError,
     ScenarioMismatchError,
     SchemaError,
+    SteerdistError,
+    ThetaOutOfRangeError,
 )
 from steerdist.linalg import eig_hermitian
 from steerdist.metrics import witness, witness_2sdi
+from steerdist.protocol import MAX_DRAWS, run_protocol
 
 PACKAGE_DIR = Path(steerdist.__file__).parent
 
@@ -220,3 +226,74 @@ def test_integers_past_the_float_range_are_a_schema_error():
     for bad in (huge_theta, huge_entry):
         with pytest.raises(SchemaError, match="OverflowError"):
             Assemblage.from_json_dict(bad)
+
+
+def test_copies_error_is_typed():
+    with pytest.raises(BadArgumentError):
+        check_copies(2.5)
+
+
+@pytest.mark.parametrize("bad", [1j, None, "x"])
+def test_non_real_kappa_and_theta_are_typed_errors(bad):
+    with pytest.raises(KappaOutOfRangeError):
+        make_filter(bad)
+    with pytest.raises(ThetaOutOfRangeError):
+        gghz_assemblage_1sdi(bad)
+
+
+@pytest.mark.parametrize("bad", [None, {}, "assemblage"])
+def test_validate_refuses_non_assemblages(bad):
+    with pytest.raises(BadArgumentError, match="Assemblage"):
+        validate(bad)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[2, -1], [-0.0, 1.0000001], [math.nan, 0.5], [math.inf, -math.inf], [0.5, 0.4], [1j, 0], [None, 1]],
+)
+def test_convex_mix_refuses_non_convex_weights(weights):
+    a, b = gghz_assemblage_1sdi(0.3), gghz_assemblage_1sdi(0.6)
+    with pytest.raises(BadArgumentError, match="weights"):
+        convex_mix(weights, [a, b])
+
+
+def test_convex_mix_accepts_weights_summing_to_one_within_tolerance():
+    a, b = gghz_assemblage_1sdi(0.3), gghz_assemblage_1sdi(0.6)
+    mixed = convex_mix(np.array([0.3, 0.7 + 5e-11]), [a, b])
+    assert validate(mixed).ok
+
+
+@pytest.mark.parametrize(
+    "trials, seed",
+    [
+        (math.inf, 1), (math.nan, 1), (None, 1), (2.5, 1), ("10", 1), (0, 1),
+        (10, 1.5), (10, -1), (10, 2**128), (10, None), (10, math.inf),
+    ],
+)
+def test_run_protocol_refuses_bad_trials_and_seed(trials, seed):
+    with pytest.raises(BadArgumentError) as info:
+        run_protocol(0.3, 0.5, 2, trials, seed)
+    assert isinstance(info.value, SteerdistError) and isinstance(info.value, ValueError)
+
+
+def test_run_protocol_caps_the_number_of_draws():
+    with pytest.raises(BadArgumentError, match="cap"):
+        run_protocol(0.3, 0.5, 3, MAX_DRAWS // 2 + 1, 1)
+    with pytest.raises(BadArgumentError, match="cap"):
+        run_protocol(0.3, 0.5, MAX_DRAWS + 2, 1, 1)
+
+
+def test_run_protocol_accepts_integral_trials_and_the_largest_seed():
+    out = run_protocol(0.3, 0.5, 2, 20.0, 2**128 - 1)
+    assert out.trials == 20 and type(out.trials) is int
+    assert out.seed == 2**128 - 1
+    assert run_protocol(0.3, 0.5, 2, np.int64(20), np.uint64(7)).seed == 7
+
+
+def test_cli_refuses_a_simulation_past_the_cap(capsys):
+    argv = ["simulate", "--theta", "0.3", "--kappa", "0.5", "--trials", "100000000000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]

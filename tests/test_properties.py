@@ -1,6 +1,6 @@
 """Property tests over random inputs: closed form, distillation of GGHZ and
-of general sources, the kappa optimizer, JSON round trip and a fuzz of the
-JSON loader.
+of general sources, the two forms of the fidelity kernel, the kappa
+optimizer, JSON round trip and a fuzz of the JSON loader.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -28,7 +28,8 @@ from steerdist.assemblage import (  # noqa: E402
 )
 from steerdist.distillation import distill, optimize_kappa  # noqa: E402
 from steerdist.errors import SteerdistError  # noqa: E402
-from steerdist.metrics import assemblage_fidelity, witness  # noqa: E402
+from steerdist.linalg import _psd_factors  # noqa: E402
+from steerdist.metrics import assemblage_fidelity, fidelity_terms, witness  # noqa: E402
 from steerdist.states import (  # noqa: E402
     PAULI_X,
     PAULI_Y,
@@ -133,6 +134,23 @@ def test_distilled_general_source_is_valid_and_fidelity_bounded(source, kappa, n
     assert validate(dist).ok
     f = assemblage_fidelity(dist, ghz_assemblage(source.scenario))
     assert 0.0 <= f <= 1.0 + 1e-12
+
+
+@PROPERTY
+@given(
+    source=st.builds(gghz_assemblage, thetas, scenarios) | general_sources(),
+    kappa=kappas,
+    n=st.integers(2, 8),
+)
+def test_column_factor_kernel_matches_square_root_kernel(source, kappa, n):
+    # Every GHZ target element has rank <= 1, so its eigen-factor has one
+    # nonzero column u, and sqrt(u^dag sigma u) is the whole root fidelity.
+    factors, roots = _psd_factors(ghz_assemblage(source.scenario).stack)
+    assert not factors[..., :-1].any()
+    stacks = np.stack([source.stack, distill(source, kappa, n).stack])
+    by_column = fidelity_terms(stacks, factors[..., -1:])
+    assert by_column.shape == (2, len(element_keys(source.scenario)))
+    assert np.max(np.abs(by_column - fidelity_terms(stacks, roots))) <= 1e-12
 
 
 @OPTIMIZER
