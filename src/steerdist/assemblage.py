@@ -27,6 +27,9 @@ from .errors import (
     InvariantViolationError,
     SchemaError,
     ScenarioMismatchError,
+    check_array,
+    check_real,
+    check_sequence,
 )
 from .linalg import TOL_HERM, TOL_PSD, dagger, kron, partial_trace
 from .states import MeasurementSet, PureState, check_theta, pauli_xyz
@@ -96,14 +99,14 @@ def _key_str(key: tuple[int, ...]) -> str:
 def _key_from_str(s: str, scenario: Scenario) -> tuple[int, ...]:
     parts = s.split("|")
     if len(parts) != 2 or any(len(p) != scenario.parties for p in parts):
-        raise ValueError(f"element key {s!r} does not match scenario {scenario.value}")
+        raise SchemaError(f"element key {s!r} does not match scenario {scenario.value}")
     return tuple(int(c) for c in "".join(parts))
 
 
 def _json_number(x) -> float:
     """A number from the interchange format; JSON true/false and text are refused."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError(f"expected a number, got {x!r}")
+        raise SchemaError(f"expected a number, got {x!r}")
     return float(x)
 
 
@@ -155,8 +158,11 @@ class Assemblage:
 
     def __post_init__(self):
         scenario = Scenario(self.scenario)
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise InvariantViolationError(f"theta = {self.theta} is not finite")
+        if self.theta is not None:
+            check_real(self.theta, "theta", error=InvariantViolationError)
+        if not isinstance(self.elements, Mapping):
+            kind = type(self.elements).__name__
+            raise BadArgumentError(f"elements must be a mapping, got {kind}")
         dim = scenario.element_dim
         keys = element_keys(scenario)
         if set(self.elements) != set(keys):
@@ -165,14 +171,9 @@ class Assemblage:
             raise ScenarioMismatchError(
                 f"element grid mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
             )
-        stack = np.empty((len(keys), dim, dim), dtype=complex)
-        for i, k in enumerate(keys):
-            m = np.asarray(self.elements[k], dtype=complex)
-            if m.shape != (dim, dim):
-                raise DimMismatchError(
-                    f"element {_key_str(k)} has shape {m.shape}, expected ({dim}, {dim})"
-                )
-            stack[i] = m
+        stack = check_array([self.elements[k] for k in keys], "elements", InvariantViolationError)
+        if stack.shape[1:] != (dim, dim):
+            raise DimMismatchError(f"element shape {stack.shape[1:]}, expected ({dim}, {dim})")
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             bad = keys[int(np.argmin(finite))]
@@ -244,23 +245,24 @@ class Assemblage:
             return cls.from_json_dict(json.load(fh))
 
 
+def require_assemblage(asm, name: str = "assemblage") -> Assemblage:
+    if not isinstance(asm, Assemblage):
+        raise BadArgumentError(f"{name} must be an Assemblage, got {type(asm).__name__}")
+    return asm
+
+
 def convex_mix(weights, assemblages) -> Assemblage:
     """Elementwise convex mixture of assemblages from one scenario.
 
     The weights must be finite, non-negative and sum to 1 within
     TOL_ASSEMBLAGE, so that the mixture is an assemblage again.
     """
-    assemblages = list(assemblages)
-    try:
-        weights = [float(w) for w in weights]
-    except (TypeError, ValueError) as exc:   # None, complex, text
-        raise BadArgumentError(f"mixing weights must be real numbers ({exc})") from exc
+    weights = [check_real(w, "mixing weights", 0.0) for w in check_sequence(weights, "weights")]
+    assemblages = [require_assemblage(a) for a in check_sequence(assemblages, "assemblages")]
     if len(weights) != len(assemblages) or not assemblages:
         raise BadArgumentError("need one weight per assemblage")
-    if not all(0.0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > TOL_ASSEMBLAGE:
-        raise BadArgumentError(
-            f"mixing weights must be finite, non-negative and sum to 1, got {weights}"
-        )
+    if abs(sum(weights) - 1.0) > TOL_ASSEMBLAGE:
+        raise BadArgumentError(f"mixing weights must sum to 1, got {weights}")
     scenario = assemblages[0].scenario
     if any(a.scenario is not scenario for a in assemblages):
         raise ScenarioMismatchError("cannot mix assemblages across scenarios")
@@ -283,8 +285,8 @@ def validate(
     Returns a report listing every violated invariant with its maximum
     deviation; an empty report means the assemblage is valid.
     """
-    if not isinstance(asm, Assemblage):
-        raise BadArgumentError(f"expected an Assemblage, got {type(asm).__name__}")
+    require_assemblage(asm)
+    tol, tol_psd = check_real(tol, "tol", 0.0), check_real(tol_psd, "tol_psd", 0.0)
     report = ValidationReport()
     s = asm.stack
     keys = [_key_str(k) for k in element_keys(asm.scenario)]
@@ -414,9 +416,11 @@ def assemblage_from_state(state: PureState, parties, sets=None) -> Assemblage:
     (defaults to the Pauli X, Y, Z set).  The result is validated before
     being returned.
     """
+    if not isinstance(state, PureState):
+        raise BadArgumentError(f"state must be a PureState, got {type(state).__name__}")
     if state.dim != 8:
         raise DimMismatchError(f"need a three-qubit state, got dim {state.dim}")
-    party_str = "".join(parties).upper()
+    party_str = parties.upper() if isinstance(parties, str) else None
     scenario = {"A": Scenario.ONE_SIDED, "AB": Scenario.TWO_SIDED}.get(party_str)
     if scenario is None:
         raise BadMaskError(f"measured parties must be 'A' or 'AB', got {parties!r}")
@@ -425,9 +429,10 @@ def assemblage_from_state(state: PureState, parties, sets=None) -> Assemblage:
         sets = pauli_xyz()
     if isinstance(sets, MeasurementSet):
         sets = (sets,) * k
-    sets = tuple(sets)
-    if len(sets) != k:
-        raise BadMaskError(f"need one measurement set per measured party, got {len(sets)}")
+    sets = check_sequence(sets, "sets", BadMaskError)
+    if len(sets) != k or not all(isinstance(m, MeasurementSet) for m in sets):
+        kinds = [type(m).__name__ for m in sets]
+        raise BadMaskError(f"need one MeasurementSet per measured party, got {kinds}")
 
     rho = state.density_matrix()
     trusted = np.eye(scenario.element_dim, dtype=complex)

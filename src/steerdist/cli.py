@@ -17,11 +17,20 @@ import numpy as np
 from .assemblage import Assemblage, Scenario, gghz_assemblage, ghz_assemblage, validate
 from .distillation import (
     asymptotic_kappa,
+    check_copies,
+    check_kappa,
     distill,
     optimize_kappa,
     two_copy_optimal_kappa,
 )
-from .errors import NoSignChangeError, SteerdistError
+from .errors import (
+    BadArgumentError,
+    NoSignChangeError,
+    SteerdistError,
+    ThetaOutOfRangeError,
+    check_integer,
+    check_real,
+)
 from .metrics import assemblage_fidelity, witness
 from .protocol import run_protocol, success_probability
 from .states import THETA_MAX
@@ -98,17 +107,17 @@ def resolve_kappa(filter_kind, fixed_kappa, theta, n_copies) -> float:
     if filter_kind == "asymptotic":
         return asymptotic_kappa(theta)
     if filter_kind == "fixed":
-        return float(fixed_kappa)
+        return check_kappa(fixed_kappa)
     return optimize_kappa(theta, n_copies).kappa_star
 
 
 def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> SweepRow:
     """Fidelity and witness of the distilled GGHZ assemblage at one point."""
     row = SweepRow(
-        theta=float(theta),
-        n_copies=int(n_copies),
+        theta=check_real(theta, "theta"),
+        n_copies=check_copies(n_copies),
         filter_kind=filter_kind,
-        kappa=float(kappa),
+        kappa=check_kappa(kappa),
         p_succ_total=success_probability(theta, kappa, n_copies),
     )
     for sc in Scenario:
@@ -122,13 +131,11 @@ def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> Swee
 def sweep_rows(theta_min, theta_max, steps, n_copies, filter_kind, fixed_kappa=None,
                scenario="both"):
     """One SweepRow per point of the uniform theta grid."""
-    if not (0.0 <= theta_min < theta_max <= THETA_MAX + 1e-12):
-        raise ValueError(
-            f"need 0 <= theta_min < theta_max <= pi/4, got [{theta_min}, {theta_max}]"
-        )
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    for theta in np.linspace(theta_min, theta_max, int(steps)):
+    top = THETA_MAX + 1e-12
+    theta_min = check_real(theta_min, "theta_min", 0.0, top, ThetaOutOfRangeError)
+    theta_max = check_real(theta_max, "theta_max", np.nextafter(theta_min, np.inf), top,
+                           ThetaOutOfRangeError)
+    for theta in np.linspace(theta_min, theta_max, check_integer(steps, "steps", 2)):
         kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
         yield evaluate_point(theta, n_copies, kappa, filter_kind, scenario)
 
@@ -212,7 +219,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_optimize(args) -> int:
     if (args.theta is None) == (args.assemblage is None):
-        raise ValueError("provide exactly one of --theta or --assemblage")
+        raise BadArgumentError("provide exactly one of --theta or --assemblage")
     scenario = Scenario(args.scenario)
     if args.theta is not None:
         result = optimize_kappa(args.theta, args.n, scenario=scenario)

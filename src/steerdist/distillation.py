@@ -19,6 +19,7 @@ from .assemblage import (
     gghz_assemblage,
     ghz_assemblage,
     group_rows,
+    require_assemblage,
     require_valid,
 )
 from .errors import (
@@ -27,6 +28,8 @@ from .errors import (
     NonFiniteObjectiveError,
     ScenarioMismatchError,
     ZeroSuccessProbabilityError,
+    check_integer,
+    check_real,
 )
 from .linalg import _psd_factors
 from .metrics import fidelity_terms
@@ -47,25 +50,7 @@ F_TIE_TOL = 1e-12
 
 
 def check_kappa(kappa) -> float:
-    try:
-        k = float(kappa)
-    except (TypeError, ValueError) as exc:   # None, complex, text
-        raise KappaOutOfRangeError(f"kappa must be a real number, got {kappa!r}") from exc
-    if not (0.0 <= k <= 1.0):
-        raise KappaOutOfRangeError(f"kappa = {k} outside [0, 1]")
-    return k
-
-
-def check_integer(value, name: str, low: int, high: int | None = None) -> int:
-    """``value`` as an int when it is integral and in [low, high); else BadArgumentError."""
-    try:
-        n = int(value)
-    except (OverflowError, TypeError, ValueError):   # inf, None, NaN, text
-        n = None
-    if n is None or n != value or n < low or (high is not None and n >= high):
-        span = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise BadArgumentError(f"{name} must be an integer {span}, got {value}")
-    return n
+    return check_real(kappa, "kappa", 0.0, 1.0, KappaOutOfRangeError)
 
 
 def check_copies(n_copies) -> int:
@@ -98,6 +83,7 @@ def _filtered(asm: Assemblage, kappas) -> tuple[np.ndarray, np.ndarray]:
     The filter C0 acts on the last qubit of every element (Charlie's), so
     its action on a d-dim element is the diagonal (kappa, 1, kappa, 1, ...).
     """
+    require_assemblage(asm)
     ks = np.asarray(kappas, dtype=float).reshape(-1, 1)
     diag = np.tile(np.hstack([ks, np.ones_like(ks)]), asm.element_dim // 2)   # (K, d)
     scale = diag[:, :, None] * diag[:, None, :]
@@ -127,9 +113,8 @@ def apply_filter(asm: Assemblage, filt: FilterOp | float):
     the filter on one copy and ``filtered`` is the renormalized assemblage
     conditioned on success.
     """
-    if not isinstance(filt, FilterOp):
-        filt = make_filter(filt)
-    un, p = _filtered(asm, filt.kappa)
+    kappa = check_kappa(filt.kappa if isinstance(filt, FilterOp) else filt)
+    un, p = _filtered(asm, kappa)
     p = float(p[0])
     if p < P_SUCC_FLOOR:
         raise ZeroSuccessProbabilityError(f"p_succ = {p:.3e} below {P_SUCC_FLOOR:.0e}")
@@ -164,6 +149,8 @@ class DistillationConfig:
 
 def distilled_assemblage(config: DistillationConfig) -> Assemblage:
     """Distilled GGHZ assemblage for the given configuration."""
+    if not isinstance(config, DistillationConfig):
+        raise BadArgumentError(f"expected a DistillationConfig, got {type(config).__name__}")
     base = gghz_assemblage(config.theta, config.scenario)
     return distill(base, config.kappa, config.n_copies)
 
@@ -232,7 +219,7 @@ def optimize_kappa(
     require_valid(asm)
     if target is None:
         target = ghz_assemblage(asm.scenario)
-    elif target.scenario is not asm.scenario:
+    elif require_assemblage(target, "target").scenario is not asm.scenario:
         raise ScenarioMismatchError(
             f"target is {target.scenario.value}, source is {asm.scenario.value}"
         )

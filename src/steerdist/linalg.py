@@ -9,12 +9,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    BadArgumentError,
     BadMaskError,
     DimMismatchError,
     DimOverflowError,
     NoConvergenceError,
     NotHermitianError,
     NotPSDError,
+    check_array,
+    check_integer,
+    check_real,
+    check_sequence,
 )
 
 # Centralized tolerances; everything downstream imports these.
@@ -35,13 +40,13 @@ _ALLOWED_DIMS = (2, 4, 8)
 
 def _as_stack(m) -> np.ndarray:
     """Coerce to a stack (..., d, d) of square complex matrices, d in 2, 4, 8."""
-    a = np.asarray(m, dtype=complex)
+    a = check_array(m, "matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatchError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] not in _ALLOWED_DIMS:
         raise DimOverflowError(f"dimension {a.shape[-1]} not in {_ALLOWED_DIMS}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise BadArgumentError("matrix contains NaN or Inf entries")
     return a
 
 
@@ -62,7 +67,7 @@ def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
     """Check Hermiticity and return the exactly symmetrized matrix (or stack)."""
     a = _as_stack(m)
     dev = float(np.max(np.abs(a - dagger(a))))
-    if dev > tol:
+    if dev > check_real(tol, "tol", 0.0):
         raise NotHermitianError(f"max |m - m^dagger| = {dev:.3e} exceeds {tol:.1e}")
     return (a + dagger(a)) / 2
 
@@ -106,7 +111,7 @@ def clamp_spectrum(w: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     -tol raises NotPSDError.
     """
     w = np.asarray(w, dtype=float)
-    if w.size and float(w.min()) < -tol:
+    if w.size and float(w.min()) < -check_real(tol, "tol", 0.0):
         raise NotPSDError(f"eigenvalue {float(w.min()):.3e} below -{tol:.1e}")
     cut = REL_EIG_ZERO * np.max(w, axis=-1, keepdims=True, initial=0.0)
     return np.where(w < cut, 0.0, w)
@@ -147,11 +152,10 @@ def partial_trace(m, keep) -> np.ndarray:
     n = int(a.shape[0]).bit_length() - 1
     if 2**n != a.shape[0]:
         raise BadMaskError(f"dimension {a.shape[0]} is not a power of two")
-    kept = [int(i) for i in keep]
+    kept = [check_integer(i, "mask entry", 0, n, BadMaskError)
+            for i in check_sequence(keep, "mask", BadMaskError)]
     if not kept or len(set(kept)) != len(kept):
         raise BadMaskError(f"mask {kept} must be a non-empty set of factor indices")
-    if any(i < 0 or i >= n for i in kept):
-        raise BadMaskError(f"mask {kept} out of range for {n} factors")
     kept = sorted(kept)
 
     t = a.reshape((2,) * (2 * n))

@@ -17,6 +17,7 @@ from .assemblage import (
     Scenario,
     element_keys,
     group_rows,
+    require_assemblage,
     require_valid,
 )
 from .errors import DimMismatchError, ScenarioMismatchError
@@ -68,7 +69,7 @@ def assemblage_fidelity(asm: Assemblage, target: Assemblage) -> float:
     Equals 1 only when the assemblages coincide; for the two-sided scenario
     the minimum runs over all nine joint settings.
     """
-    if asm.scenario is not target.scenario:
+    if require_assemblage(asm).scenario is not require_assemblage(target, "target").scenario:
         raise ScenarioMismatchError(
             f"cannot compare {asm.scenario.value} against {target.scenario.value}"
         )
@@ -147,7 +148,7 @@ _TERMS_2SDI = _term_table(Scenario.TWO_SIDED, (
 
 
 def _witness(asm: Assemblage, scenario: Scenario, tables) -> WitnessResult:
-    if asm.scenario is not scenario:
+    if require_assemblage(asm).scenario is not scenario:
         raise ScenarioMismatchError(f"witness_{scenario.value} needs a {scenario.value} assemblage")
     require_valid(asm)
     names, table = tables
@@ -168,4 +169,4 @@ def witness_2sdi(asm: Assemblage) -> WitnessResult:
 
 def witness(asm: Assemblage) -> WitnessResult:
     """Dispatch to the witness matching the assemblage's scenario."""
-    return (witness_1sdi, witness_2sdi)[asm.scenario.parties - 1](asm)
+    return (witness_1sdi, witness_2sdi)[require_assemblage(asm).scenario.parties - 1](asm)

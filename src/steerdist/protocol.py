@@ -26,11 +26,10 @@ from .distillation import (
     P_SUCC_FLOOR,
     apply_filter,
     check_copies,
-    check_integer,
     check_kappa,
     make_filter,
 )
-from .errors import BadArgumentError
+from .errors import BadArgumentError, check_integer
 from .states import check_theta
 
 # Cap on the filter outcomes one run draws, trials x (N - 1).  Sampling and

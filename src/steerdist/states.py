@@ -10,8 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ThetaOutOfRangeError
-from .linalg import TOL_HERM
+from .errors import (
+    BadArgumentError,
+    DimMismatchError,
+    ThetaOutOfRangeError,
+    check_array,
+    check_integer,
+    check_real,
+)
+from .linalg import TOL_HERM, _as_stack
 
 THETA_MAX = math.pi / 4
 
@@ -23,13 +30,7 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 def check_theta(theta) -> float:
     """Validate a GGHZ angle against the domain [0, pi/4]."""
-    try:
-        t = float(theta)
-    except (TypeError, ValueError) as exc:   # None, complex, text
-        raise ThetaOutOfRangeError(f"theta must be a real number, got {theta!r}") from exc
-    if not (0.0 <= t <= THETA_MAX + 1e-12):
-        raise ThetaOutOfRangeError(f"theta = {t} outside [0, pi/4]")
-    return min(t, THETA_MAX)
+    return min(check_real(theta, "theta", 0.0, THETA_MAX + 1e-12, ThetaOutOfRangeError), THETA_MAX)
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,14 @@ class PureState:
     theta: float | None = None
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = check_array(self.amplitudes, "amplitudes")
         if amps.ndim != 1:
-            raise ValueError(f"amplitudes must be a vector, got shape {amps.shape}")
+            raise DimMismatchError(f"amplitudes must be a vector, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes contain NaN or Inf")
+            raise BadArgumentError("amplitudes contain NaN or Inf")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes have norm {norm}, expected 1")
+            raise BadArgumentError(f"amplitudes have norm {norm}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -81,24 +82,24 @@ class MeasurementSet:
     observables: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        obs = tuple(np.asarray(o, dtype=complex) for o in self.observables)
-        for i, o in enumerate(obs):
-            dev = float(np.max(np.abs(o @ o - np.eye(o.shape[0]))))
-            if dev > TOL_HERM:
-                raise ValueError(f"observable {i} does not square to identity ({dev:.2e})")
-        for o in obs:
-            o.setflags(write=False)
-        object.__setattr__(self, "observables", obs)
+        obs = _as_stack(self.observables)
+        if obs.ndim != 3:
+            raise DimMismatchError(f"need a sequence of square matrices, got shape {obs.shape}")
+        dev = np.abs(obs @ obs - np.eye(obs.shape[-1])).max(axis=(1, 2))
+        if dev.max(initial=0.0) > TOL_HERM:
+            i = int(np.argmax(dev))
+            raise BadArgumentError(f"observable {i} does not square to identity ({dev[i]:.2e})")
+        obs.setflags(write=False)
+        object.__setattr__(self, "observables", tuple(obs))
 
     @property
     def n_settings(self) -> int:
         return len(self.observables)
 
     def projector(self, outcome: int, setting: int) -> np.ndarray:
-        if outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-        obs = self.observables[setting]
-        return (np.eye(obs.shape[0], dtype=complex) + (-1) ** outcome * obs) / 2
+        sign = (-1) ** check_integer(outcome, "outcome", 0, 2)
+        obs = self.observables[check_integer(setting, "setting", 0, self.n_settings)]
+        return (np.eye(obs.shape[0], dtype=complex) + sign * obs) / 2
 
 
 def pauli_xyz() -> MeasurementSet:

@@ -1,5 +1,6 @@
 """Bad input is refused with a typed error, never computed on."""
 import ast
+import builtins
 import json
 import math
 from pathlib import Path
@@ -45,6 +46,25 @@ def test_package_has_no_assert_statements():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _raised_builtin_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and isinstance(getattr(builtins, exc.id, None), type):
+                yield node.lineno, exc.id
+
+
+def test_package_raises_no_builtin_exception_types():
+    # Every error the toolkit raises is a SteerdistError subclass; argparse's
+    # own ArgumentTypeError (an attribute, not a builtin) is its protocol.
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for lineno, name in _raised_builtin_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
 
