@@ -13,7 +13,7 @@ import functools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product
 from types import MappingProxyType
@@ -133,13 +133,7 @@ class ValidationReport:
         return {v.check for v in self.violations}
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"check": v.check, "where": v.where, "deviation": v.deviation}
-                for v in self.violations
-            ],
-        }
+        return {"ok": self.ok, "violations": [asdict(v) for v in self.violations]}
 
 
 @dataclass(frozen=True, eq=False)

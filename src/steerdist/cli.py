@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -36,12 +36,14 @@ from .protocol import run_protocol, success_probability
 from .states import THETA_MAX
 
 CSV_HEADER = "theta,n,filter,kappa,p_succ,f_1sdi,f_2sdi,s_1sdi,s_2sdi"
-
-FILTER_KINDS = ("none", "optimal", "asymptotic", "fixed")
+# Grid points a sweep may ask for, exclusive; the largest theta grid is 8 MB.
+MAX_STEPS = 10**6
 
 
 @dataclass
 class SweepRow:
+    """One sweep point; the fields are the CSV_HEADER columns, in order."""
+
     theta: float
     n_copies: int
     filter_kind: str
@@ -53,36 +55,17 @@ class SweepRow:
     s_2sdi: float | None = None
 
     def to_csv(self) -> str:
-        cells = [
-            _fmt(self.theta),
-            str(self.n_copies),
-            self.filter_kind,
-            _fmt(self.kappa),
-            _fmt(self.p_succ_total),
-            _fmt(self.f_1sdi),
-            _fmt(self.f_2sdi),
-            _fmt(self.s_1sdi),
-            _fmt(self.s_2sdi),
-        ]
-        return ",".join(cells)
+        return ",".join(map(_fmt, astuple(self)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "n": self.n_copies,
-            "filter": self.filter_kind,
-            "kappa": self.kappa,
-            "p_succ": self.p_succ_total,
-            "f_1sdi": self.f_1sdi,
-            "f_2sdi": self.f_2sdi,
-            "s_1sdi": self.s_1sdi,
-            "s_2sdi": self.s_2sdi,
-        }
+        return dict(zip(CSV_HEADER.split(","), astuple(self)))
 
 
 def _fmt(v) -> str:
-    # 9 significant digits, locale-independent; empty cell for skipped scenarios.
-    return "" if v is None else format(float(v), ".9g")
+    # The one cell rule: None is a skipped scenario; str keeps every digit of n.
+    if v is None:
+        return ""
+    return format(v, ".9g") if isinstance(v, float) else str(v)
 
 
 def parse_filter(text: str):
@@ -135,7 +118,7 @@ def sweep_rows(theta_min, theta_max, steps, n_copies, filter_kind, fixed_kappa=N
     theta_min = check_real(theta_min, "theta_min", 0.0, top, ThetaOutOfRangeError)
     theta_max = check_real(theta_max, "theta_max", np.nextafter(theta_min, np.inf), top,
                            ThetaOutOfRangeError)
-    for theta in np.linspace(theta_min, theta_max, check_integer(steps, "steps", 2)):
+    for theta in np.linspace(theta_min, theta_max, check_integer(steps, "steps", 2, MAX_STEPS)):
         kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
         yield evaluate_point(theta, n_copies, kappa, filter_kind, scenario)
 
@@ -226,13 +209,7 @@ def cmd_optimize(args) -> int:
     else:
         asm = Assemblage.load(args.assemblage)
         result = optimize_kappa(asm, args.n)
-    doc = {
-        "kappa_star": result.kappa_star,
-        "f_star": result.f_star,
-        "evaluations": result.evaluations,
-        "bracket_width": result.bracket_width,
-        "n": args.n,
-    }
+    doc = {**asdict(result), "n": args.n}
     if args.theta is not None and args.n == 2:
         # comparison point: the analytic two-copy optimum for GGHZ inputs
         doc["closed_form_kappa"] = two_copy_optimal_kappa(args.theta)

@@ -26,8 +26,6 @@ from .errors import (
 TOL_HERM = 1e-10        # max |m - m^dagger| accepted as Hermitian
 TOL_PSD = 1e-9          # most negative eigenvalue still accepted as PSD
 TOL_RECON = 1e-9        # eigendecomposition reconstruction / orthonormality
-TOL_SQRT = 1e-8         # psd_sqrt(m) @ psd_sqrt(m) == m, entrywise
-TOL_TRACE = 1e-12       # trace bookkeeping (partial traces, normalization)
 
 # Eigenvalues below REL_EIG_ZERO * lambda_max are treated as exact zeros.
 # Rank-deficient matrices are everywhere in this toolkit; without the cutoff,

@@ -17,7 +17,7 @@ seed, giving bit-for-bit reproducible output for a given NumPy version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,17 +70,13 @@ class SimOutcome:
         return self.success_count / self.trials
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "kappa": self.kappa,
-            "n_copies": self.n_copies,
-            "trials": self.trials,
-            "seed": self.seed,
-            "success_count": self.success_count,
-            "success_fraction": self.success_fraction,
-            "bitstring_histogram": dict(sorted(self.bitstring_histogram.items())),
-            "empirical_assemblage": self.empirical_assemblage.to_json_dict(),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(
+            success_fraction=self.success_fraction,
+            bitstring_histogram=dict(sorted(self.bitstring_histogram.items())),
+            empirical_assemblage=self.empirical_assemblage.to_json_dict(),
+        )
+        return doc
 
 
 def run_protocol(theta, kappa, n_copies: int, trials: int, seed: int) -> SimOutcome:

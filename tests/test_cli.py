@@ -8,12 +8,15 @@ import pytest
 from steerdist.assemblage import Assemblage, Scenario, gghz_assemblage_1sdi, ghz_assemblage
 from steerdist.cli import (
     CSV_HEADER,
+    MAX_STEPS,
+    _fmt,
     evaluate_point,
     main,
     sweep_rows,
     threshold_theta,
 )
-from steerdist.errors import NoSignChangeError
+from steerdist.errors import BadArgumentError, NoSignChangeError
+from steerdist.protocol import run_protocol
 
 PI4 = math.pi / 4
 PI8 = math.pi / 8
@@ -146,6 +149,16 @@ class TestSweep:
         assert code == 1
         assert "error" in err
 
+    def test_steps_past_the_cap_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--steps", str(10**18)])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: steps must be")
+
+    def test_steps_cap_is_exclusive(self):
+        # refused before any grid is allocated
+        with pytest.raises(BadArgumentError):
+            next(sweep_rows(0.1, 0.2, MAX_STEPS, 2, "none"))
+
     def test_asymptotic_filter_column(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -210,6 +223,13 @@ class TestThreshold:
         # closed form: sin(2 theta) = (1 - 3*0.1831) / (4*0.2582)
         expect = math.asin((1 - 3 * 0.1831) / (4 * 0.2582)) / 2
         assert json.loads(out)["theta_root"] == pytest.approx(expect, abs=2e-5)
+
+    @pytest.mark.parametrize("scenario", ["1sdi", "2sdi"])
+    def test_finite_n_roots_are_ordered_at_four_copies(self, scenario):
+        # optimal < asymptotic < none at N = 4, as at N = 2: the optimal
+        # filter activates the weakest states when the copies are finite
+        roots = [threshold_theta(kind, 4, scenario) for kind in ("optimal", "asymptotic", "none")]
+        assert roots == sorted(roots) and len(set(roots)) == 3
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
@@ -350,3 +370,62 @@ def test_sweep_rows_generator_direct():
     assert len(rows) == 3
     assert rows[0].kappa == 1.0
     assert rows[0].f_2sdi is None
+
+
+class TestOutputSchema:
+    """Each output record's keys come from its dataclass; these pin them."""
+
+    def test_sweep_json_keys_are_the_csv_header(self):
+        row = evaluate_point(0.3, 2, 0.5, "fixed")
+        assert list(row.to_json_dict()) == CSV_HEADER.split(",")
+
+    @pytest.mark.parametrize(
+        "n_copies, scenario", [(2, "both"), (3, "1sdi"), (10**30, "2sdi")]
+    )
+    def test_sweep_csv_cells_are_fmt_of_json_values(self, n_copies, scenario):
+        row = evaluate_point(0.3, n_copies, 0.5, "fixed", scenario)
+        doc = row.to_json_dict()
+        cells = row.to_csv().split(",")
+        assert cells == [_fmt(v) for v in doc.values()]
+        assert cells[1] == str(n_copies) and cells[2] == "fixed"
+        skipped = {"both": [], "1sdi": ["f_2sdi", "s_2sdi"], "2sdi": ["f_1sdi", "s_1sdi"]}
+        for col in skipped[scenario]:
+            assert doc[col] is None and cells[CSV_HEADER.split(",").index(col)] == ""
+
+    def test_fmt_is_the_one_cell_rule(self):
+        assert _fmt(None) == ""
+        assert _fmt(0.12345678912345) == "0.123456789"
+        assert _fmt(10**30) == "1" + "0" * 30
+        assert _fmt("asymptotic") == "asymptotic"
+
+    def test_optimize_keys(self, capsys, tmp_path):
+        base = {"kappa_star", "f_star", "evaluations", "bracket_width", "n"}
+        _, out, _ = run_cli(capsys, ["optimize", "--theta", "0.3", "--n", "2"])
+        assert set(json.loads(out)) == base | {"closed_form_kappa"}
+        path = tmp_path / "ghz.json"
+        ghz_assemblage(Scenario.ONE_SIDED).save(path)
+        _, out, _ = run_cli(capsys, ["optimize", "--assemblage", str(path), "--n", "3"])
+        assert set(json.loads(out)) == base
+
+    def test_validate_keys(self, capsys, tmp_path):
+        doc = gghz_assemblage_1sdi(0.3).to_json_dict()
+        doc["elements"]["0|0"][0][0][0] += 0.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, ["validate", str(path)])
+        report = json.loads(out)
+        assert code == 1 and set(report) == {"ok", "violations"}
+        assert report["violations"]
+        assert all(set(v) == {"check", "where", "deviation"} for v in report["violations"])
+
+    def test_simulate_keys_and_histogram_copy(self):
+        outcome = run_protocol(0.3, 0.5, 3, 50, 4)
+        doc = outcome.to_json_dict()
+        assert set(doc) == {
+            "theta", "kappa", "n_copies", "trials", "seed", "success_count",
+            "success_fraction", "bitstring_histogram", "empirical_assemblage",
+        }
+        assert doc["bitstring_histogram"] == outcome.bitstring_histogram
+        doc["bitstring_histogram"].clear()
+        assert sum(outcome.bitstring_histogram.values()) == 50
+        assert {"scenario", "elements"} <= set(doc["empirical_assemblage"])
