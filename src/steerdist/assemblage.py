@@ -324,60 +324,33 @@ def require_valid(asm: Assemblage, tol: float = TOL_ASSEMBLAGE) -> Assemblage:
     return asm
 
 
-# (-i)**n for n = 0..3, as literals: forming the product of the factors
-# would flip the sign of a zero imaginary part at theta = 0.
-_PHASES = (1, -1j, -1, 1j)
-
-
 @functools.cache
-def _gghz_recipe(scenario: Scenario) -> tuple:
-    """Theta-free description of each GGHZ element, in ``element_keys`` order.
+def _gghz_parts(scenario: Scenario) -> np.ndarray:
+    """Theta-free (3, E, d, d) stacks whose mix is the GGHZ assemblage.
 
-    Measuring the k untrusted parties of c|000> + s|111> leaves
-    ("xy", n) when every party measures X or Y: the projector onto
-        c|0..0> + (-i)**n s|1..1>, n = #Y + 2 * sum(outcomes),
-        divided by 2**k, each outcome having probability 1/2**k;
-    ("z", a, m) when every Z outcome equals a: c**2 (a = 0) or s**2 (a = 1),
-        divided by 2**m for the m parties on X or Y, times |a..a><a..a|;
-    ("zero",) when two Z outcomes conflict.
+    The GGHZ state is c**2 |000><000| + s**2 |111><111| + c*s (|000><111| +
+    h.c.), and an element is linear in it.  Under the projector P of the k
+    untrusted parties, the three terms leave <0..0|P|0..0> |0..0><0..0|,
+    <1..1|P|1..1> |1..1><1..1| and <1..1|P|0..0> |0..0><1..1| + h.c. on the
+    trusted qubits.  Entries are products of 0, 1, +-1/2 and +-i/2, so exact.
     """
-    k = scenario.parties
-    recipe = []
-    for key in element_keys(scenario):
-        outcomes, settings = key[:k], key[k:]
-        z_outcomes = {a for a, x in zip(outcomes, settings) if x == 2}
-        if not z_outcomes:
-            recipe.append(("xy", (settings.count(1) + 2 * sum(outcomes)) % 4))
-        elif len(z_outcomes) == 1:
-            recipe.append(("z", z_outcomes.pop(), k - settings.count(2)))
-        else:
-            recipe.append(("zero",))
-    return tuple(recipe)
+    k, d = scenario.parties, scenario.element_dim
+    projector = pauli_xyz().projector
+    parts = np.zeros((3, len(element_keys(scenario)), d, d), dtype=complex)
+    for e, key in enumerate(element_keys(scenario)):
+        p = functools.reduce(np.kron, map(projector, key[:k], key[k:]))
+        parts[0, e, 0, 0], parts[1, e, -1, -1] = p[0, 0], p[-1, -1]
+        parts[2, e, 0, -1], parts[2, e, -1, 0] = p[-1, 0], p[0, -1]
+    parts += 0.0  # no negative zeros from the products
+    parts.setflags(write=False)
+    return parts
 
 
 def _gghz_assemblage(theta, scenario: Scenario) -> Assemblage:
     t = check_theta(theta)
     c, s = math.cos(t), math.sin(t)
-    k, d = scenario.parties, scenario.element_dim
-
-    # Keep `/ 2**n` and `c**2`: `* 0.5` flips the sign of zero imaginary parts
-    # and `c * c` can differ in the last bit, and JSON output shows both.
-    def matrix(step):
-        if step[0] == "zero":
-            return np.zeros((d, d), dtype=complex)
-        ket = np.zeros(d, dtype=complex)
-        if step[0] == "xy":
-            ket[0], ket[-1] = c, _PHASES[step[1]] * s
-            return np.outer(ket, ket.conj()) / 2**k
-        _, a, m = step
-        ket[a * (d - 1)] = 1.0  # |a..a>
-        return ((c, s)[a] ** 2 / 2**m) * np.outer(ket, ket.conj())
-
-    recipe = _gghz_recipe(scenario)
-    # Each distinct matrix is built once; keys sharing a step share it.
-    built = {step: matrix(step) for step in set(recipe)}
-    elements = {key: built[step] for key, step in zip(element_keys(scenario), recipe)}
-    return Assemblage(scenario, elements, theta=t)
+    zero, one, coherence = _gghz_parts(scenario)
+    return Assemblage._of_stack(scenario, c**2 * zero + s**2 * one + (c * s) * coherence, t)
 
 
 def gghz_assemblage_1sdi(theta) -> Assemblage:

@@ -91,11 +91,14 @@ def resolve_kappa(filter_kind, fixed_kappa, theta, n_copies) -> float:
         return asymptotic_kappa(theta)
     if filter_kind == "fixed":
         return check_kappa(fixed_kappa)
-    return optimize_kappa(theta, n_copies).kappa_star
+    if filter_kind == "optimal":
+        return optimize_kappa(theta, n_copies).kappa_star
+    raise BadArgumentError(f"filter must be none|optimal|asymptotic|fixed, got {filter_kind!r}")
 
 
 def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> SweepRow:
     """Fidelity and witness of the distilled GGHZ assemblage at one point."""
+    scenarios = tuple(Scenario) if scenario == "both" else (Scenario(scenario),)
     row = SweepRow(
         theta=check_real(theta, "theta"),
         n_copies=check_copies(n_copies),
@@ -103,11 +106,10 @@ def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> Swee
         kappa=check_kappa(kappa),
         p_succ_total=success_probability(theta, kappa, n_copies),
     )
-    for sc in Scenario:
-        if scenario in (sc.value, "both"):
-            dist = distill(gghz_assemblage(theta, sc), kappa, n_copies)
-            setattr(row, f"f_{sc.value}", assemblage_fidelity(dist, ghz_assemblage(sc)))
-            setattr(row, f"s_{sc.value}", witness(dist).value)
+    for sc in scenarios:
+        dist = distill(gghz_assemblage(theta, sc), kappa, n_copies)
+        setattr(row, f"f_{sc.value}", assemblage_fidelity(dist, ghz_assemblage(sc)))
+        setattr(row, f"s_{sc.value}", witness(dist).value)
     return row
 
 

@@ -12,10 +12,11 @@ from steerdist.cli import (
     _fmt,
     evaluate_point,
     main,
+    resolve_kappa,
     sweep_rows,
     threshold_theta,
 )
-from steerdist.errors import BadArgumentError, NoSignChangeError
+from steerdist.errors import BadArgumentError, NoSignChangeError, ScenarioMismatchError
 from steerdist.protocol import run_protocol
 
 PI4 = math.pi / 4
@@ -429,3 +430,17 @@ class TestOutputSchema:
         doc["bitstring_histogram"].clear()
         assert sum(outcome.bitstring_histogram.values()) == 50
         assert {"scenario", "elements"} <= set(doc["empirical_assemblage"])
+
+
+class TestUnknownKinds:
+    @pytest.mark.parametrize("kind", ["optmal", "OPTIMAL", "fixed:0.5", "", None])
+    def test_unknown_filter_kind_is_refused(self, kind):
+        with pytest.raises(BadArgumentError, match=r"none\|optimal\|asymptotic\|fixed"):
+            resolve_kappa(kind, None, 0.3, 2)
+
+    @pytest.mark.parametrize("scenario", ["3sdi", "1SDI", "Both", "", None])
+    def test_unknown_scenario_is_refused(self, scenario):
+        with pytest.raises(ScenarioMismatchError):
+            evaluate_point(0.3, 2, 0.5, "fixed", scenario)
+        with pytest.raises(ScenarioMismatchError):
+            list(sweep_rows(0.1, 0.3, 3, 2, "none", scenario=scenario))

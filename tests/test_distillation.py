@@ -488,3 +488,22 @@ class TestFiniteNClaims:
         f_none = assemblage_fidelity(source, target)
         f_asym = assemblage_fidelity(distill(source, asymptotic_kappa(theta), n), target)
         assert _gghz_optimum(theta, n, scenario).f_star >= max(f_none, f_asym) - 1e-12
+
+
+COPY_COUNTS = (2, 3, 6, 20, 100, 200)
+
+
+class TestFiniteNAdvantage:
+    """The paper's finite-N claims for the optimal filter C0(kappa*)."""
+
+    @pytest.mark.parametrize("theta", [0.05, 0.1, 0.2, 0.4, 0.6, PI4])
+    def test_optimal_fidelity_does_not_decrease_with_copies(self, theta):
+        f = [_gghz_optimum(theta, n, Scenario.ONE_SIDED).f_star for n in COPY_COUNTS]
+        assert all(later >= earlier - 1e-12 for earlier, later in zip(f, f[1:])), f
+
+    @pytest.mark.parametrize("theta", [0.05, 0.1, 0.2])
+    def test_advantage_over_kappa_prime_peaks_at_finite_n(self, theta):
+        f = [_gghz_optimum(theta, n, Scenario.ONE_SIDED).f_star for n in COPY_COUNTS]
+        gain = [f_n - kappa_prime_ncopy_fidelity(theta, n) for f_n, n in zip(f, COPY_COUNTS)]
+        peak = int(np.argmax(gain))
+        assert COPY_COUNTS[peak] > 2 and gain[-1] < gain[peak], gain

@@ -6,10 +6,14 @@ benchmark applies to it (closed forms, recorded witness roots, a rank-one
 optimizer reference and a Philox replay of every simulate histogram).
 ``workloads`` and ``oracles`` are read from steerbench/ and import no
 steerdist code, so they are an independent check of the CLI's numbers.
+The GGHZ builder is also held to ``workloads.gghz_elements``, a direct
+partial trace of the measured state, to within 2**-52 per entry.
 """
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "steerbench"))
@@ -17,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "steerbench"))
 import oracles  # noqa: E402
 import workloads  # noqa: E402
 
+from steerdist.assemblage import Scenario, gghz_assemblage  # noqa: E402
 from steerdist.cli import main  # noqa: E402
 
 
@@ -29,3 +34,13 @@ def test_smoke_chunk_passes_the_benchmark_oracles(tmp_path, capsys, workload, se
         assert code == 0, (request.argv, captured.err)
         verdict = oracles.check(request, captured.out)
         assert verdict is None, (request.argv, verdict)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_gghz_builder_matches_the_reference_elements(scenario):
+    k = scenario.parties
+    for theta in np.linspace(0.0, math.pi / 4, 401):
+        reference = workloads.gghz_elements(float(theta), scenario.value)
+        for key, element in gghz_assemblage(theta, scenario).elements.items():
+            name = "".join(map(str, key[:k])) + "|" + "".join(map(str, key[k:]))
+            assert np.abs(element - reference[name]).max() <= 2**-52, (theta, name)
