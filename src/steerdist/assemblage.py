@@ -28,6 +28,7 @@ from .errors import (
     SchemaError,
     ScenarioMismatchError,
     check_array,
+    check_path,
     check_real,
     check_sequence,
 )
@@ -186,7 +187,10 @@ class Assemblage:
         return self.scenario.element_dim
 
     def element(self, *key: int) -> np.ndarray:
-        return self.elements[tuple(key)]
+        try:
+            return self.elements[key]
+        except (KeyError, TypeError):   # off the grid, or unhashable
+            raise BadArgumentError(f"{key!r} is not a {self.scenario.value} key") from None
 
     def setting_totals(self) -> np.ndarray:
         """Sum of elements over outcomes, one matrix per setting group."""
@@ -229,13 +233,13 @@ class Assemblage:
         return cls(scenario, elements, theta=theta)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(check_path(path), "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Assemblage":
-        with open(path, encoding="utf-8") as fh:
+        with open(check_path(path), encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
 

@@ -129,6 +129,9 @@ def threshold_theta(filter_kind, n_copies, scenario="1sdi", fixed_kappa=None,
                     lo=0.01, hi=THETA_MAX, tol=1e-6):
     """Bisect the witness zero of the (possibly distilled) GGHZ assemblage."""
     sc = Scenario(scenario)
+    lo = check_real(lo, "lo", 0.0, THETA_MAX + 1e-12, ThetaOutOfRangeError)
+    hi = check_real(hi, "hi", np.nextafter(lo, np.inf), THETA_MAX + 1e-12, ThetaOutOfRangeError)
+    tol = check_real(tol, "tol", np.nextafter(0.0, 1.0))
 
     def s_of(theta: float) -> float:
         kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)

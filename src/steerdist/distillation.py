@@ -201,11 +201,11 @@ def optimize_kappa(
     ``source`` is either a GGHZ angle (an assemblage is built for the given
     scenario, one-sided by default) or an arbitrary valid assemblage.
     ``target`` defaults to the perfectly steerable GHZ assemblage of the
-    matching scenario.  A dense scan of [0, 1] finds the best point; its
-    two neighbouring cells are re-scanned on a finer grid until they span
-    at most 1e-8 (``bracket_width``).  The refined point then competes with
-    the two domain ends, and fidelities within ``F_TIE_TOL`` of the best
-    resolve to the larger kappa (higher success probability).
+    matching scenario.  A dense scan of [0, 1] finds the best point, exact
+    ties going to their middle; its two neighbouring cells are re-scanned
+    on a finer grid until they span at most 1e-8 (``bracket_width``).  The
+    refined point then competes with the domain ends, which win ties within
+    ``F_TIE_TOL`` toward the larger kappa (higher success probability).
     """
     n = check_copies(n_copies)
     if isinstance(source, Assemblage):
@@ -225,15 +225,14 @@ def optimize_kappa(
         )
 
     # Root fidelity is symmetric, so factoring the fixed target once keeps
-    # each evaluation at one eigensolve per element.  When every target
-    # element has rank <= 1 (the GHZ target does), the dense first scan uses
-    # the d x 1 factors and needs none; the refinement keeps the roots.
+    # each evaluation at one eigensolve per element, and at none when every
+    # target element has rank <= 1 (the GHZ target does): d x 1 factors.
     factors, roots = _psd_factors(target.stack)
-    first = roots if factors[..., :-1].any() else factors[..., -1:]
+    ref = roots if factors[..., :-1].any() else factors[..., -1:]
     rows = group_rows(asm.scenario)
     evaluations = 0
 
-    def scan(grid, ref) -> np.ndarray:
+    def scan(grid) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(grid)
         f = fidelity_terms(_distilled(asm, grid, n), ref)   # (K, E)
@@ -245,16 +244,17 @@ def optimize_kappa(
         return values
 
     grid = np.linspace(0.0, 1.0, PRE_SCAN_POINTS)
-    values = scan(grid, first)
+    values = scan(grid)
     ends = [(values[0], 0.0), (values[-1], 1.0)]
     while True:
-        # argmax with exact ties resolved to the larger kappa
-        best = len(grid) - 1 - int(np.argmax(values[::-1]))
+        # F is flat to rounding near its maximum: take the middle of the ties
+        ties = np.flatnonzero(values == values.max())
+        best = int(ties[len(ties) // 2])
         lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
         if hi - lo <= BRACKET_TOL:
             break
         grid = np.linspace(lo, hi, REFINE_POINTS)
-        values = scan(grid, roots)
+        values = scan(grid)
 
     # A boundary maximum reports kappa exactly 0 or 1: the domain ends,
     # already scanned, compete with the refined point, larger kappa on ties.

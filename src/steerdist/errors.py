@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the argument gate (check_*)."""
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -111,6 +112,13 @@ def check_sequence(values, name: str, error: type[SteerdistError] = BadArgumentE
     if items is None:
         raise error(f"{name} must be a sequence, got {values!r}")
     return items
+
+
+def check_path(path):
+    """``path`` when it is a str, bytes or os.PathLike; open() would take an int as a descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise BadArgumentError(f"path must be str, bytes or os.PathLike, got {type(path).__name__}")
+    return path
 
 
 def check_array(value, name: str, error: type[SteerdistError] = BadArgumentError) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from steerdist.assemblage import (
     validate,
 )
 from steerdist.errors import (
+    BadArgumentError,
     BadMaskError,
     DimMismatchError,
     ScenarioMismatchError,
@@ -242,6 +247,34 @@ class TestJsonInterchange:
     def test_json_serializable(self):
         json.dumps(gghz_assemblage_2sdi(0.1).to_json_dict())
 
+    @pytest.mark.parametrize("path", [None, 2.5, ["asm.json"]])
+    def test_non_path_is_refused(self, path):
+        asm = gghz_assemblage_1sdi(0.3)
+        with pytest.raises(BadArgumentError):
+            asm.save(path)
+        with pytest.raises(BadArgumentError):
+            Assemblage.load(path)
+
+    def test_file_descriptors_are_refused_and_left_open(self):
+        # open() takes an int or a bool as a file descriptor and closes it; run
+        # in a child so that a closed stdout cannot take pytest's with it
+        script = (
+            "from steerdist.assemblage import Assemblage, gghz_assemblage_1sdi\n"
+            "from steerdist.errors import BadArgumentError\n"
+            "refused = 0\n"
+            "for call in (lambda: gghz_assemblage_1sdi(0.3).save(1),\n"
+            "             lambda: Assemblage.load(True), lambda: Assemblage.load(0)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except BadArgumentError:\n"
+            "        refused += 1\n"
+            "print('refused', refused)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, stdin=subprocess.DEVNULL)
+        assert (proc.returncode, proc.stdout) == (0, "refused 3\n"), proc.stderr
+
     def test_ghz_target_helper(self):
         assert ghz_assemblage(Scenario.ONE_SIDED).theta == pytest.approx(math.pi / 4)
         assert ghz_assemblage("2sdi").scenario is Scenario.TWO_SIDED
@@ -252,3 +285,9 @@ def test_setting_groups_cover_grid():
         keys = element_keys(scenario)
         grouped = [k for g in setting_groups(scenario) for k in g]
         assert sorted(grouped) == sorted(keys)
+
+
+@pytest.mark.parametrize("key", [(9,), (0, 3), (0, 0, 0), ([0], 0), ()])
+def test_element_off_the_grid_is_refused(key):
+    with pytest.raises(BadArgumentError):
+        gghz_assemblage_1sdi(0.3).element(*key)

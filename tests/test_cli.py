@@ -16,7 +16,12 @@ from steerdist.cli import (
     sweep_rows,
     threshold_theta,
 )
-from steerdist.errors import BadArgumentError, NoSignChangeError, ScenarioMismatchError
+from steerdist.errors import (
+    BadArgumentError,
+    NoSignChangeError,
+    ScenarioMismatchError,
+    ThetaOutOfRangeError,
+)
 from steerdist.protocol import run_protocol
 
 PI4 = math.pi / 4
@@ -235,6 +240,19 @@ class TestThreshold:
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
             threshold_theta("none", 2, "1sdi", lo=0.01, hi=0.05)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.01), (0.3, 0.3), (-0.1, 0.5), (0.01, 1.0),
+                                        (math.nan, 0.5), (0.01, None)])
+    def test_bad_bracket_is_refused(self, lo, hi):
+        # a reversed bracket used to skip the loop and return its midpoint
+        with pytest.raises(ThetaOutOfRangeError):
+            threshold_theta("none", 2, "1sdi", lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, "1e-6", True])
+    def test_bad_tolerance_is_refused(self, tol):
+        # a NaN tolerance used to skip the loop and return the bracket's midpoint
+        with pytest.raises(BadArgumentError):
+            threshold_theta("none", 2, "1sdi", tol=tol)
 
     def test_function_agrees_with_bisected_witness(self):
         root = threshold_theta("none", 2, "1sdi", tol=1e-8)
