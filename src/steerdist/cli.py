@@ -208,12 +208,8 @@ def cmd_threshold(args) -> int:
 def cmd_optimize(args) -> int:
     if (args.theta is None) == (args.assemblage is None):
         raise BadArgumentError("provide exactly one of --theta or --assemblage")
-    scenario = Scenario(args.scenario)
-    if args.theta is not None:
-        result = optimize_kappa(args.theta, args.n, scenario=scenario)
-    else:
-        asm = Assemblage.load(args.assemblage)
-        result = optimize_kappa(asm, args.n)
+    source = args.theta if args.theta is not None else Assemblage.load(args.assemblage)
+    result = optimize_kappa(source, args.n, scenario=args.scenario)
     doc = {**asdict(result), "n": args.n}
     if args.theta is not None and args.n == 2:
         # comparison point: the analytic two-copy optimum for GGHZ inputs
@@ -271,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--assemblage", default=None, help="assemblage JSON file")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--scenario", choices=("1sdi", "2sdi"), default="1sdi")
+    p.add_argument("--scenario", choices=("1sdi", "2sdi"), default=None,
+                   help="--theta source: default 1sdi; --assemblage: must match the file")
     add_common(p)
     p.set_defaults(func=cmd_optimize)
 

@@ -8,6 +8,7 @@ the two branches with weights 1 - (1-p)**(N-1) and (1-p)**(N-1).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .linalg import _psd_factors
+from .linalg import _psd_factors, clamp_spectrum
 from .metrics import fidelity_terms
 from .states import check_theta
 
@@ -93,16 +94,17 @@ def _filtered(asm: Assemblage, kappas) -> tuple[np.ndarray, np.ndarray]:
     return un, p
 
 
-def _distilled(asm: Assemblage, kappas, n: int) -> np.ndarray:
-    """N-copy distilled element stacks (K, E, d, d), one per kappa.
-
-    Success on one of the first N-1 copies (weight 1 - (1-p)**(N-1)) keeps
-    the renormalized filtered assemblage, failure on all of them the input.
-    A numerically zero success probability leaves the input unchanged.
-    """
-    un, p = _filtered(asm, kappas)
+def _branch_weights(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights p_fail = (1-p)**(N-1) of the input and w_succ = (1 - p_fail) / p of
+    the unnormalized filtered branch; p below P_SUCC_FLOOR is certain failure."""
     p_fail = np.where(p >= P_SUCC_FLOOR, (1.0 - p) ** (n - 1), 1.0)
-    w_succ = (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR)
+    return p_fail, (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR)
+
+
+def _distilled(asm: Assemblage, kappas, n: int) -> np.ndarray:
+    """N-copy distilled element stacks (K, E, d, d), one per kappa, mixed by _branch_weights."""
+    un, p = _filtered(asm, kappas)
+    p_fail, w_succ = _branch_weights(p, n)
     return w_succ[:, None, None, None] * un + p_fail[:, None, None, None] * asm.stack
 
 
@@ -182,6 +184,20 @@ def kappa_prime_ncopy_fidelity(theta, n_copies: int) -> float:
     return math.sqrt(1.0 - 0.5 * (1.0 - math.sin(2 * t)) * math.cos(2 * t) ** (n - 1))
 
 
+def _reference(target_stack: np.ndarray) -> np.ndarray:
+    """Columns u (E, d, 1), u u^dag = target, if all its ranks are <= 1, else principal roots."""
+    factors, roots = _psd_factors(target_stack)
+    return roots if factors[..., :-1].any() else factors[..., -1:]
+
+
+@functools.cache
+def _ghz_reference(scenario: Scenario) -> np.ndarray:
+    """The default GHZ target's factor, built on first use and read-only."""
+    ref = _reference(ghz_assemblage(scenario).stack)
+    ref.setflags(write=False)
+    return ref
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     kappa_star: float
@@ -201,7 +217,8 @@ def optimize_kappa(
     ``source`` is either a GGHZ angle (an assemblage is built for the given
     scenario, one-sided by default) or an arbitrary valid assemblage.
     ``target`` defaults to the perfectly steerable GHZ assemblage of the
-    matching scenario.  A dense scan of [0, 1] finds the best point, exact
+    matching scenario; against a rank <= 1 target such as this one, a kappa
+    costs O(E) arithmetic.  A dense scan of [0, 1] finds the best point, exact
     ties going to their middle; its two neighbouring cells are re-scanned
     on a finer grid until they span at most 1e-8 (``bracket_width``).  The
     refined point then competes with the domain ends, which win ties within
@@ -217,26 +234,39 @@ def optimize_kappa(
     else:
         asm = gghz_assemblage(source, scenario or Scenario.ONE_SIDED)
     require_valid(asm)
-    if target is None:
-        target = ghz_assemblage(asm.scenario)
-    elif require_assemblage(target, "target").scenario is not asm.scenario:
+    if target is not None and require_assemblage(target, "target").scenario is not asm.scenario:
         raise ScenarioMismatchError(
             f"target is {target.scenario.value}, source is {asm.scenario.value}"
         )
-
-    # Root fidelity is symmetric, so factoring the fixed target once keeps
-    # each evaluation at one eigensolve per element, and at none when every
-    # target element has rank <= 1 (the GHZ target does): d x 1 factors.
-    factors, roots = _psd_factors(target.stack)
-    ref = roots if factors[..., :-1].any() else factors[..., -1:]
+    ref = _ghz_reference(asm.scenario) if target is None else _reference(target.stack)
     rows = group_rows(asm.scenario)
     evaluations = 0
+
+    if ref.shape[-1] == 1:
+        # A rank <= 1 target element u u^dag scores sqrt(u^dag sigma u).  With
+        # u0 the entries of u that D = diag(kappa, 1, kappa, 1, ...) scales and
+        # u1 the rest, u^dag D sigma D u = a kappa^2 + b kappa + c and
+        # p = P0 kappa^2 + P1: each kappa costs O(E) arithmetic, no stack.
+        scaled = np.arange(asm.element_dim) % 2 == 0
+        parts = np.stack([scaled, ~scaled])[:, None] * ref[..., 0]   # u0, u1: (2, E, d)
+        m = np.einsum("xei,eij,yej->xye", parts.conj(), asm.stack, parts).real
+        a, b, c = m[0, 0], 2 * m[0, 1], m[1, 1]
+        diag = np.einsum("eii->i", asm.stack[rows[0]]).real
+        p0, p1 = diag[scaled].sum(), diag[~scaled].sum()
+
+        def fidelities(grid):
+            k = grid[:, None]
+            p_fail, w_succ = _branch_weights(p0 * k * k + p1, n)
+            w = w_succ * (a * k * k + b * k + c) + p_fail * (a + b + c)
+            return np.sqrt(clamp_spectrum(w[..., None]))[..., 0]   # one spectrum per w: (K, E)
+    else:
+        def fidelities(grid):
+            return fidelity_terms(_distilled(asm, grid, n), ref)
 
     def scan(grid) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(grid)
-        f = fidelity_terms(_distilled(asm, grid, n), ref)   # (K, E)
-        values = f[:, rows].sum(axis=2).min(axis=1)
+        values = fidelities(grid)[:, rows].sum(axis=2).min(axis=1)
         if not np.all(np.isfinite(values)):
             raise NonFiniteObjectiveError(
                 f"objective produced NaN or Inf on kappa in [{grid[0]}, {grid[-1]}]"

@@ -286,6 +286,16 @@ class TestOptimize:
         assert doc["kappa_star"] == 1.0
         assert doc["f_star"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_assemblage_route_honours_the_scenario(self, capsys, tmp_path):
+        path = tmp_path / "a1.json"
+        gghz_assemblage_1sdi(0.3).save(path)
+        argv = ["optimize", "--assemblage", str(path), "--n", "2"]
+        code, out, err = run_cli(capsys, argv + ["--scenario", "2sdi"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2sdi" in err
+        code, same, _ = run_cli(capsys, argv + ["--scenario", "1sdi"])
+        assert code == 0 and same == run_cli(capsys, argv)[1]
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, ["optimize", "--n", "2"])
         assert code == 1 and "error" in err

@@ -333,17 +333,17 @@ class TestOptimizeKappa:
     def test_nan_in_refinement_scan_raises(self, monkeypatch):
         # the first scan is clean; one NaN in the next (finer) scan must stop
         # the search instead of being compared away
-        real = distillation.fidelity_terms
+        real = distillation._branch_weights
         calls = []
 
-        def nan_on_second_call(stacks, roots):
-            f = real(stacks, roots)
-            calls.append(len(f))
+        def nan_on_second_call(p, n):
+            p_fail, w_succ = real(p, n)
+            calls.append(len(p))
             if len(calls) == 2:
-                f[len(f) // 2, 0] = np.nan
-            return f
+                w_succ[len(w_succ) // 2] = np.nan
+            return p_fail, w_succ
 
-        monkeypatch.setattr(distillation, "fidelity_terms", nan_on_second_call)
+        monkeypatch.setattr(distillation, "_branch_weights", nan_on_second_call)
         with pytest.raises(NonFiniteObjectiveError):
             optimize_kappa(0.3, 2)
         assert calls[0] == distillation.PRE_SCAN_POINTS and len(calls) == 2
@@ -368,10 +368,24 @@ class TestOptimizeKappa:
         return widths
 
     @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_rank_one_target_uses_column_factors_on_every_scan(self, monkeypatch, scenario):
-        widths = self._factor_widths(monkeypatch, 0.3, 3, scenario=scenario)
-        assert len(widths) > 1
-        assert set(widths) == {1}
+    def test_ghz_target_builds_no_stack_and_factors_once(self, monkeypatch, scenario):
+        def no_stacks(*args):
+            raise AssertionError("a rank-one target's scan built a distilled stack")
+
+        factorings = []
+        real = distillation._psd_factors
+
+        def counted(m):
+            factorings.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(distillation, "_distilled", no_stacks)
+        monkeypatch.setattr(distillation, "_psd_factors", counted)
+        distillation._ghz_reference.cache_clear()
+        for theta in (0.3, 0.5):
+            optimize_kappa(theta, 3, scenario=scenario)
+        optimize_kappa(gghz_assemblage(0.2, scenario), 4)
+        assert len(factorings) == 1
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_full_rank_target_keeps_square_roots(self, monkeypatch, scenario):
@@ -381,21 +395,22 @@ class TestOptimizeKappa:
         assert set(widths) == {scenario.element_dim}
 
 
-# optimize_kappa output recorded once every scan of a rank-one target used the
-# d x 1 factor and exact ties within a scan went to their middle: kappa_star,
-# f_star and bracket_width as float.hex, and evaluations.
+# optimize_kappa output recorded once a rank-one target's scans scored each
+# kappa from the coefficients a, b, c, P0 and P1 and exact ties within a scan
+# went to their middle: kappa_star, f_star and bracket_width as float.hex, and
+# evaluations.
 PINNED_OPTIMA = {
     ("1sdi", "0", 2): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1082, "0x1.0624dd4000000p-27"),
     ("1sdi", "0", 5): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1082, "0x1.0624dd4000000p-27"),
-    ("1sdi", "0", 100): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0", 100): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1082, "0x1.0624dd2000000p-27"),
     ("1sdi", "0.1", 2): ("0x1.0293c10624dd3p-1", "0x1.9443246bb9023p-1", 1082, "0x1.0624dd0000000p-27"),
-    ("1sdi", "0.1", 5): ("0x1.8079b43958106p-2", "0x1.a35f383af75c0p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0.1", 5): ("0x1.8079b3f7ced91p-2", "0x1.a35f383af75c0p-1", 1082, "0x1.0624dd4000000p-27"),
     ("1sdi", "0.1", 100): ("0x1.fe2d0d4fdf3b6p-4", "0x1.f516526d1f0d9p-1", 1082, "0x1.0624dd2800000p-27"),
-    ("1sdi", "0.3", 2): ("0x1.187f11cac0831p-1", "0x1.d3db611fbd4b8p-1", 1082, "0x1.0624dd4000000p-27"),
-    ("1sdi", "0.3", 5): ("0x1.bac0533333333p-2", "0x1.e9d903b271aeep-1", 1082, "0x1.0624dd4000000p-27"),
-    ("1sdi", "0.3", 100): ("0x1.3cc2a5e353f7dp-2", "0x1.fffffffac91dap-1", 1082, "0x1.0624dd4000000p-27"),
+    ("1sdi", "0.3", 2): ("0x1.187f11eb851ebp-1", "0x1.d3db611fbd4b8p-1", 1082, "0x1.0624dd0000000p-27"),
+    ("1sdi", "0.3", 5): ("0x1.bac05374bc6a8p-2", "0x1.e9d903b271aeep-1", 1082, "0x1.0624dd2000000p-27"),
+    ("1sdi", "0.3", 100): ("0x1.3cc2a56041894p-2", "0x1.fffffffac91dap-1", 1082, "0x1.0624dd2000000p-27"),
     ("1sdi", "0.5", 2): ("0x1.4c66fbe76c8b4p-1", "0x1.f5d04e0e5d965p-1", 1082, "0x1.0624dd0000000p-27"),
-    ("1sdi", "0.5", 5): ("0x1.25558a9fbe76ep-1", "0x1.fe68d1b06d409p-1", 1082, "0x1.0624dd0000000p-27"),
+    ("1sdi", "0.5", 5): ("0x1.25558b020c49dp-1", "0x1.fe68d1b06d408p-1", 1082, "0x1.0624dd4000000p-27"),
     ("1sdi", "0.5", 100): ("0x1.17b4f5c28f5c2p-1", "0x1.0000000000000p+0", 1082, "0x1.0624dd4000000p-27"),
     ("1sdi", "pi/4", 2): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
     ("1sdi", "pi/4", 5): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
@@ -403,21 +418,21 @@ PINNED_OPTIMA = {
     ("2sdi", "0", 2): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1082, "0x1.0624dd4000000p-27"),
     ("2sdi", "0", 5): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1082, "0x1.0624dd4000000p-27"),
     ("2sdi", "0", 100): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp-1", 1082, "0x1.0624dd4000000p-27"),
-    ("2sdi", "0.1", 2): ("0x1.0293c1cac0831p-1", "0x1.9443246bb9022p-1", 1082, "0x1.0624dd4000000p-27"),
-    ("2sdi", "0.1", 5): ("0x1.8079b3f7ced91p-2", "0x1.a35f383af75bfp-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.1", 2): ("0x1.0293c10624dd3p-1", "0x1.9443246bb9022p-1", 1082, "0x1.0624dd0000000p-27"),
+    ("2sdi", "0.1", 5): ("0x1.8079b3f7ced91p-2", "0x1.a35f383af75c0p-1", 1082, "0x1.0624dd4000000p-27"),
     ("2sdi", "0.1", 100): ("0x1.fe2d0d4fdf3b6p-4", "0x1.f516526d1f0d8p-1", 1082, "0x1.0624dd2800000p-27"),
-    ("2sdi", "0.3", 2): ("0x1.187f11eb851ebp-1", "0x1.d3db611fbd4b7p-1", 1082, "0x1.0624dd0000000p-27"),
-    ("2sdi", "0.3", 5): ("0x1.bac0533333333p-2", "0x1.e9d903b271aedp-1", 1082, "0x1.0624dd4000000p-27"),
-    ("2sdi", "0.3", 100): ("0x1.3cc2a5e353f7dp-2", "0x1.fffffffac91d9p-1", 1082, "0x1.0624dd4000000p-27"),
-    ("2sdi", "0.5", 2): ("0x1.4c66fbe76c8b4p-1", "0x1.f5d04e0e5d964p-1", 1082, "0x1.0624dd0000000p-27"),
-    ("2sdi", "0.5", 5): ("0x1.25558a9fbe76ep-1", "0x1.fe68d1b06d407p-1", 1082, "0x1.0624dd0000000p-27"),
+    ("2sdi", "0.3", 2): ("0x1.187f116872b02p-1", "0x1.d3db611fbd4b7p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.3", 5): ("0x1.bac052f1a9fbep-2", "0x1.e9d903b271aeep-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.3", 100): ("0x1.3cc2a5a1cac08p-2", "0x1.fffffffac91d9p-1", 1082, "0x1.0624dd2000000p-27"),
+    ("2sdi", "0.5", 2): ("0x1.4c66fb851eb84p-1", "0x1.f5d04e0e5d964p-1", 1082, "0x1.0624dd4000000p-27"),
+    ("2sdi", "0.5", 5): ("0x1.25558b4395812p-1", "0x1.fe68d1b06d407p-1", 1082, "0x1.0624dd4000000p-27"),
     ("2sdi", "0.5", 100): ("0x1.17b4f5e353f7dp-1", "0x1.0000000000000p+0", 1082, "0x1.0624dd4000000p-27"),
-    ("2sdi", "pi/4", 2): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
-    ("2sdi", "pi/4", 5): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
-    ("2sdi", "pi/4", 100): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
+    ("2sdi", "pi/4", 2): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
+    ("2sdi", "pi/4", 5): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
+    ("2sdi", "pi/4", 100): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
     ("1sdi", "ghz", 3): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
-    ("2sdi", "ghz", 3): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd0000000p-28"),
-    ("2sdi", "noisy", 4): ("0x1.75ffddf3b645ap-2", "0x1.c3be98d68765cp-1", 1082, "0x1.0624dd2000000p-27"),
+    ("2sdi", "ghz", 3): ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", 1055, "0x1.0624dd4000000p-27"),
+    ("2sdi", "noisy", 4): ("0x1.75ffde353f7cfp-2", "0x1.c3be98d68765bp-1", 1082, "0x1.0624dd4000000p-27"),
 }
 PIN_THETAS = {"0": 0.0, "0.1": 0.1, "0.3": 0.3, "0.5": 0.5, "pi/4": PI4}
 

@@ -40,6 +40,8 @@ from steerdist.states import (  # noqa: E402
     gghz,
 )
 
+from conftest import white_noise  # noqa: E402
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 # optimize_kappa costs tens of milliseconds per example
 OPTIMIZER = settings(derandomize=True, database=None, deadline=None, max_examples=12)
@@ -162,6 +164,19 @@ def test_optimizer_beats_coarse_grid_on_general_source(source, n):
     assert res.f_star >= max(grid) - 1e-9
     at_star = assemblage_fidelity(distill(source, res.kappa_star, n), target)
     assert res.f_star == pytest.approx(at_star, abs=1e-9)
+
+
+@PROPERTY
+@given(theta=thetas, noise=st.floats(0.0, 0.5), n=st.integers(2, 1000), scenario=scenarios)
+def test_optimizer_f_star_is_the_distilled_fidelity_at_kappa_star(theta, noise, n, scenario):
+    # The optimizer scores the rank-one GHZ target from per-element
+    # coefficients; distill and assemblage_fidelity build the stack and take
+    # matrix roots instead.
+    pure = gghz_assemblage(theta, scenario)
+    source = convex_mix([1 - noise, noise], [pure, white_noise(scenario)])
+    res = optimize_kappa(source, n)
+    at_star = assemblage_fidelity(distill(source, res.kappa_star, n), ghz_assemblage(scenario))
+    assert abs(res.f_star - at_star) <= 1e-13
 
 
 def _stacks(scenario):
