@@ -273,6 +273,52 @@ def _flag(report: ValidationReport, check: str, devs, limit: float, wheres) -> N
         report.violations.append(Violation(check, wheres[i], float(devs[i])))
 
 
+@functools.cache
+def _sites(scenario: Scenario) -> tuple[tuple[str, ...], ...]:
+    """Where each deviation of ``_deviations`` is reported, in the same order."""
+    keys = tuple(_key_str(k) for k in element_keys(scenario))
+    settings = [_key_str(g[0]).split("|")[1] for g in setting_groups(scenario)]
+    sites = [keys, keys, tuple(f"x={x}" for x in settings),
+             tuple(f"setting {x}" for x in settings[1:])]
+    if scenario is Scenario.TWO_SIDED:
+        for text in ("sum_a sigma(a,{o}|x,{s}) varies with x",
+                     "sum_b sigma({o},b|{s},y) varies with y"):
+            shape = (len(OUTCOMES), N_SETTINGS, N_SETTINGS - 1)
+            sites.append(tuple(text.format(o=o, s=s) for o, s, _ in np.ndindex(shape)))
+    return tuple(sites)
+
+
+def _deviations(stacks: np.ndarray, scenario: Scenario) -> list[tuple[str, np.ndarray]]:
+    """(check, deviations (T, n)) of every invariant of a (T, E, d, d) block of finite stacks.
+
+    The n deviations of a check are reported at ``_sites(scenario)``, in the
+    same order: Hermiticity and positivity per element, normalization per
+    setting group, no-signaling per setting after the first and, two-sided,
+    per single-party marginal.
+    """
+    herm = np.abs(stacks - dagger(stacks)).max(axis=(-2, -1))
+    low = np.linalg.eigvalsh((stacks + dagger(stacks)) / 2)[..., 0]
+    totals = stacks[:, group_rows(scenario)].sum(axis=2)
+    norm = np.abs(np.trace(totals, axis1=-2, axis2=-1).real - 1.0)
+    # No-signaling: the reduced state summed over outcomes must not depend
+    # on the measurement setting(s).
+    drift = np.abs(totals[:, 1:] - totals[:, :1]).max(axis=(-2, -1))
+    devs = [("hermitian", herm), ("psd", -low), ("normalization", norm), ("no_signaling", drift)]
+    if scenario is Scenario.TWO_SIDED:
+        # Bob-side marginal independent of Alice's setting, and vice versa;
+        # each marginal is laid out as (varied setting, fixed setting, outcome).
+        o, x = len(OUTCOMES), N_SETTINGS
+        grid = stacks.reshape(len(stacks), x, x, o, o, *stacks.shape[-2:])
+        for marg in (grid.sum(axis=3), grid.sum(axis=4).swapaxes(1, 2)):
+            dev = np.abs(marg[:, 1:] - marg[:, :1]).max(axis=(-2, -1)).transpose(0, 3, 2, 1)
+            devs.append(("no_signaling", dev.reshape(len(stacks), -1)))
+    return devs
+
+
+def _limit(check: str, tol: float, tol_psd: float) -> float:
+    return {"hermitian": TOL_HERM, "psd": tol_psd}.get(check, tol)
+
+
 def validate(
     asm: Assemblage,
     tol: float = TOL_ASSEMBLAGE,
@@ -286,36 +332,20 @@ def validate(
     require_assemblage(asm)
     tol, tol_psd = check_real(tol, "tol", 0.0), check_real(tol_psd, "tol_psd", 0.0)
     report = ValidationReport()
-    s = asm.stack
-    keys = [_key_str(k) for k in element_keys(asm.scenario)]
-    _flag(report, "hermitian", np.abs(s - dagger(s)).max(axis=(1, 2)), TOL_HERM, keys)
-    low = np.linalg.eigvalsh((s + dagger(s)) / 2)[:, 0]
-    _flag(report, "psd", -low, tol_psd, keys)
-
-    settings = [_key_str(g[0]).split("|")[1] for g in setting_groups(asm.scenario)]
-    totals = asm.setting_totals()
-    norm = np.abs(np.trace(totals, axis1=1, axis2=2).real - 1.0)
-    _flag(report, "normalization", norm, tol, [f"x={x}" for x in settings])
-    # No-signaling: the reduced state summed over outcomes must not depend
-    # on the measurement setting(s).
-    drift = np.abs(totals[1:] - totals[0]).max(axis=(1, 2))
-    _flag(report, "no_signaling", drift, tol, [f"setting {x}" for x in settings[1:]])
-
-    if asm.scenario is Scenario.TWO_SIDED:
-        # Bob-side marginal independent of Alice's setting, and vice versa;
-        # each marginal is laid out as (varied setting, fixed setting, outcome).
-        o, x = len(OUTCOMES), N_SETTINGS
-        grid = s.reshape(x, x, o, o, *s.shape[1:])
-        marginals = (
-            (grid.sum(axis=2), "sum_a sigma(a,{o}|x,{s}) varies with x"),
-            (grid.sum(axis=3).swapaxes(0, 1), "sum_b sigma({o},b|{s},y) varies with y"),
-        )
-        for marg, text in marginals:
-            dev = np.abs(marg[1:] - marg[:1]).max(axis=(-2, -1)).transpose(2, 1, 0)
-            wheres = [text.format(o=o, s=s) for o, s, _ in np.ndindex(dev.shape)]
-            _flag(report, "no_signaling", dev.ravel(), tol, wheres)
-
+    found = _deviations(asm.stack[None], asm.scenario)
+    for (check, devs), wheres in zip(found, _sites(asm.scenario)):
+        _flag(report, check, devs[0], _limit(check, tol, tol_psd), wheres)
     return report
+
+
+def _valid_rows(stacks: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Which rows of a (T, E, d, d) block ``require_valid`` would pass, as a (T,) mask."""
+    finite = np.isfinite(stacks).all(axis=(1, 2, 3))
+    ok = np.ones(int(finite.sum()), dtype=bool)
+    for check, devs in _deviations(stacks if finite.all() else stacks[finite], scenario):
+        ok &= ~(devs > _limit(check, TOL_ASSEMBLAGE, TOL_PSD)).any(axis=1)
+    finite[finite] = ok
+    return finite
 
 
 def require_valid(asm: Assemblage, tol: float = TOL_ASSEMBLAGE) -> Assemblage:
@@ -350,11 +380,20 @@ def _gghz_parts(scenario: Scenario) -> np.ndarray:
     return parts
 
 
+def _gghz_stacks(thetas, scenario: Scenario) -> np.ndarray:
+    """GGHZ element stacks (T, E, d, d), one per angle; each angle is checked."""
+    weights = []
+    for t in map(check_theta, thetas):
+        c, s = math.cos(t), math.sin(t)
+        weights.append((c**2, s**2, c * s))
+    c2, s2, cs = np.array(weights).T.reshape(3, -1, 1, 1, 1)
+    zero, one, coherence = _gghz_parts(scenario)
+    return c2 * zero + s2 * one + cs * coherence
+
+
 def _gghz_assemblage(theta, scenario: Scenario) -> Assemblage:
     t = check_theta(theta)
-    c, s = math.cos(t), math.sin(t)
-    zero, one, coherence = _gghz_parts(scenario)
-    return Assemblage._of_stack(scenario, c**2 * zero + s**2 * one + (c * s) * coherence, t)
+    return Assemblage._of_stack(scenario, _gghz_stacks((t,), scenario)[0], t)
 
 
 def gghz_assemblage_1sdi(theta) -> Assemblage:
@@ -375,7 +414,12 @@ def gghz_assemblage(theta, scenario: Scenario) -> Assemblage:
 
 
 def ghz_assemblage(scenario: Scenario) -> Assemblage:
-    """The perfectly genuine-steerable target: GGHZ at theta = pi/4."""
+    """The perfectly genuine-steerable target: GGHZ at theta = pi/4, built once per scenario."""
+    return _ghz_assemblage(Scenario(scenario))
+
+
+@functools.cache
+def _ghz_assemblage(scenario: Scenario) -> Assemblage:
     return gghz_assemblage(math.pi / 4, scenario)
 
 

@@ -14,8 +14,18 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, Scenario, gghz_assemblage, ghz_assemblage, validate
+from .assemblage import (
+    Assemblage,
+    Scenario,
+    _gghz_stacks,
+    _valid_rows,
+    gghz_assemblage,
+    ghz_assemblage,
+    require_valid,
+    validate,
+)
 from .distillation import (
+    _distilled,
     asymptotic_kappa,
     check_copies,
     check_kappa,
@@ -31,13 +41,19 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .metrics import assemblage_fidelity, witness
+from .linalg import require_psd
+from .metrics import _ghz_fidelities, _witness_values, assemblage_fidelity, witness
 from .protocol import run_protocol, success_probability
 from .states import THETA_MAX
 
 CSV_HEADER = "theta,n,filter,kappa,p_succ,f_1sdi,f_2sdi,s_1sdi,s_2sdi"
-# Grid points a sweep may ask for, exclusive; the largest theta grid is 8 MB.
+# Grid points a sweep may ask for, exclusive.
 MAX_STEPS = 10**6
+# Known-kappa sweeps score this many grid points at a time, in about 2 MB.
+THETA_BLOCK = 256
+# Known-kappa thresholds score the midpoints of this many bisection levels,
+# 2**BISECT_LEVELS - 1 points, at a time.
+BISECT_LEVELS = 3
 
 
 @dataclass
@@ -96,16 +112,24 @@ def resolve_kappa(filter_kind, fixed_kappa, theta, n_copies) -> float:
     raise BadArgumentError(f"filter must be none|optimal|asymptotic|fixed, got {filter_kind!r}")
 
 
-def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> SweepRow:
-    """Fidelity and witness of the distilled GGHZ assemblage at one point."""
-    scenarios = tuple(Scenario) if scenario == "both" else (Scenario(scenario),)
-    row = SweepRow(
+def _scenarios(scenario) -> tuple[Scenario, ...]:
+    return tuple(Scenario) if scenario == "both" else (Scenario(scenario),)
+
+
+def _unscored_row(theta, n_copies, kappa, filter_kind) -> SweepRow:
+    return SweepRow(
         theta=check_real(theta, "theta"),
         n_copies=check_copies(n_copies),
         filter_kind=filter_kind,
         kappa=check_kappa(kappa),
         p_succ_total=success_probability(theta, kappa, n_copies),
     )
+
+
+def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> SweepRow:
+    """Fidelity and witness of the distilled GGHZ assemblage at one point."""
+    scenarios = _scenarios(scenario)
+    row = _unscored_row(theta, n_copies, kappa, filter_kind)
     for sc in scenarios:
         dist = distill(gghz_assemblage(theta, sc), kappa, n_copies)
         setattr(row, f"f_{sc.value}", assemblage_fidelity(dist, ghz_assemblage(sc)))
@@ -113,30 +137,126 @@ def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> Swee
     return row
 
 
+def _distilled_block(thetas, kappas, n_copies, sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Distilled GGHZ stacks (T, E, d, d), one per (theta, kappa), and their (T,) validity mask."""
+    stacks = _distilled(_gghz_stacks(thetas, sc), kappas, check_copies(n_copies), sc)
+    return stacks, _valid_rows(stacks, sc)
+
+
+def _block_rows(thetas, kappas, n_copies, filter_kind, scenarios):
+    """``evaluate_point`` at every (theta, kappa) of a block, scored from (T, E, d, d) stacks.
+
+    Rows are yielded up to the first theta whose distilled stack is invalid
+    in some scenario; there the per-point path's checks raise its error.
+    """
+    rows = [_unscored_row(t, n_copies, k, filter_kind) for t, k in zip(thetas, kappas)]
+    blocks = [_distilled_block(thetas, kappas, n_copies, sc) for sc in scenarios]
+    valid = np.logical_and.reduce([ok for _, ok in blocks])
+    good = len(rows) if valid.all() else int(np.argmin(valid))
+    for sc, (stacks, _) in zip(scenarios, blocks):
+        fidelities = _ghz_fidelities(stacks[:good], sc).tolist()
+        for row, f, s in zip(rows, fidelities, _witness_values(stacks[:good], sc).tolist()):
+            setattr(row, f"f_{sc.value}", f)
+            setattr(row, f"s_{sc.value}", s)
+    yield from rows[:good]
+    if good < len(rows):
+        for sc, (stacks, _) in zip(scenarios, blocks):
+            dist = Assemblage._of_stack(sc, stacks[good], thetas[good])
+            require_psd(dist.stack)   # assemblage_fidelity's check, then the witness's
+            require_valid(dist)
+
+
+def _grid(lo: float, hi: float, steps: int, start: int, stop: int) -> np.ndarray:
+    """Points start..stop-1 of np.linspace(lo, hi, steps), computed as linspace computes them."""
+    div = steps - 1
+    delta = np.subtract(hi, lo)
+    step = delta / div
+    y = np.arange(start, stop, dtype=float)
+    if step == 0:   # subnormal spacing: linspace divides first
+        y /= div
+        y *= delta
+    else:
+        y *= step
+    y += lo
+    if stop == steps:
+        y[-1] = hi
+    return y
+
+
 def sweep_rows(theta_min, theta_max, steps, n_copies, filter_kind, fixed_kappa=None,
                scenario="both"):
-    """One SweepRow per point of the uniform theta grid."""
+    """One SweepRow per point of the grid np.linspace(theta_min, theta_max, steps).
+
+    The grid is made THETA_BLOCK points at a time.  With a known kappa (any
+    filter but "optimal") each block is scored from stacked arrays, with the
+    numbers ``evaluate_point`` gives.
+    """
     top = THETA_MAX + 1e-12
     theta_min = check_real(theta_min, "theta_min", 0.0, top, ThetaOutOfRangeError)
     theta_max = check_real(theta_max, "theta_max", np.nextafter(theta_min, np.inf), top,
                            ThetaOutOfRangeError)
-    for theta in np.linspace(theta_min, theta_max, check_integer(steps, "steps", 2, MAX_STEPS)):
-        kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
-        yield evaluate_point(theta, n_copies, kappa, filter_kind, scenario)
+    steps = check_integer(steps, "steps", 2, MAX_STEPS)
+    for start in range(0, steps, THETA_BLOCK):
+        thetas = _grid(theta_min, theta_max, steps, start, min(start + THETA_BLOCK, steps))
+        if filter_kind == "optimal":
+            for theta in thetas:
+                kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
+                yield evaluate_point(theta, n_copies, kappa, filter_kind, scenario)
+        else:
+            kappas = [resolve_kappa(filter_kind, fixed_kappa, t, n_copies) for t in thetas]
+            yield from _block_rows(thetas, kappas, n_copies, filter_kind, _scenarios(scenario))
+
+
+def _bisection_points(lo: float, hi: float, tol: float, levels: int) -> list[float]:
+    """Every midpoint that the next ``levels`` steps of bisecting [lo, hi] can visit."""
+    points, brackets = [], [(lo, hi)]
+    for _ in range(levels):
+        inner = []
+        for a, b in brackets:
+            mid = (a + b) / 2
+            if b - a > tol and a < mid < b:
+                points.append(mid)
+                inner += [(a, mid), (mid, b)]
+        brackets = inner
+    return points
 
 
 def threshold_theta(filter_kind, n_copies, scenario="1sdi", fixed_kappa=None,
                     lo=0.01, hi=THETA_MAX, tol=1e-6):
-    """Bisect the witness zero of the (possibly distilled) GGHZ assemblage."""
+    """Bisect the witness zero of the (possibly distilled) GGHZ assemblage.
+
+    The bracket is halved until it is at most ``tol`` wide or its midpoint
+    is no longer strictly inside it.  With a known kappa (any filter but
+    "optimal") the midpoints of the next BISECT_LEVELS steps are scored in
+    one block, and the steps read their values from it.
+    """
     sc = Scenario(scenario)
     lo = check_real(lo, "lo", 0.0, THETA_MAX + 1e-12, ThetaOutOfRangeError)
     hi = check_real(hi, "hi", np.nextafter(lo, np.inf), THETA_MAX + 1e-12, ThetaOutOfRangeError)
     tol = check_real(tol, "tol", np.nextafter(0.0, 1.0))
+    levels = 1 if filter_kind == "optimal" else BISECT_LEVELS
+    # theta -> witness value; an invalid known-kappa stack waits here until visited
+    scored: dict[float, float | np.ndarray] = {}
+
+    def score(thetas) -> None:
+        if filter_kind == "optimal":
+            for theta in thetas:
+                kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
+                scored[theta] = witness(distill(gghz_assemblage(theta, sc), kappa, n_copies)).value
+            return
+        kappas = [resolve_kappa(filter_kind, fixed_kappa, t, n_copies) for t in thetas]
+        stacks, valid = _distilled_block(thetas, kappas, n_copies, sc)
+        values = iter(_witness_values(stacks[valid], sc).tolist())
+        for theta, stack, ok in zip(thetas, stacks, valid):
+            scored[theta] = next(values) if ok else stack
 
     def s_of(theta: float) -> float:
-        kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
-        return witness(distill(gghz_assemblage(theta, sc), kappa, n_copies)).value
+        s = scored[theta]
+        if isinstance(s, np.ndarray):
+            require_valid(Assemblage._of_stack(sc, s, theta))   # raises the witness's error
+        return s
 
+    score([lo, hi, *_bisection_points(lo, hi, tol, levels - 1)])
     s_lo, s_hi = s_of(lo), s_of(hi)
     if s_lo == 0.0:
         return lo
@@ -149,6 +269,10 @@ def threshold_theta(filter_kind, n_copies, scenario="1sdi", fixed_kappa=None,
         )
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:   # the bracket is one float step wide
+            break
+        if mid not in scored:
+            score(_bisection_points(lo, hi, tol, levels))
         s_mid = s_of(mid)
         if s_mid == 0.0:
             return mid

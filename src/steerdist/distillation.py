@@ -78,18 +78,19 @@ def make_filter(kappa) -> FilterOp:
     return FilterOp(k, c0, c1)
 
 
-def _filtered(asm: Assemblage, kappas) -> tuple[np.ndarray, np.ndarray]:
+def _filtered(stack: np.ndarray, kappas, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized filtered elements (K, E, d, d) and one-copy success probabilities (K,).
 
-    The filter C0 acts on the last qubit of every element (Charlie's), so
-    its action on a d-dim element is the diagonal (kappa, 1, kappa, 1, ...).
+    ``stack`` is one (E, d, d) stack, filtered by each of the K kappas, or a
+    (K, E, d, d) block whose row k is filtered by kappas[k].  The filter C0
+    acts on the last qubit of every element (Charlie's), so its action on a
+    d-dim element is the diagonal (kappa, 1, kappa, 1, ...).
     """
-    require_assemblage(asm)
     ks = np.asarray(kappas, dtype=float).reshape(-1, 1)
-    diag = np.tile(np.hstack([ks, np.ones_like(ks)]), asm.element_dim // 2)   # (K, d)
+    diag = np.tile(np.hstack([ks, np.ones_like(ks)]), stack.shape[-1] // 2)   # (K, d)
     scale = diag[:, :, None] * diag[:, None, :]
-    un = scale[:, None, :, :] * asm.stack
-    first = un[:, group_rows(asm.scenario)[0]]
+    un = scale[:, None, :, :] * stack
+    first = un[:, group_rows(scenario)[0]]
     p = np.trace(first, axis1=-2, axis2=-1).real.sum(axis=1)
     return un, p
 
@@ -101,11 +102,11 @@ def _branch_weights(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return p_fail, (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR)
 
 
-def _distilled(asm: Assemblage, kappas, n: int) -> np.ndarray:
-    """N-copy distilled element stacks (K, E, d, d), one per kappa, mixed by _branch_weights."""
-    un, p = _filtered(asm, kappas)
+def _distilled(stack: np.ndarray, kappas, n: int, scenario: Scenario) -> np.ndarray:
+    """N-copy distilled stacks (K, E, d, d) of ``_filtered``'s input, mixed by _branch_weights."""
+    un, p = _filtered(stack, kappas, scenario)
     p_fail, w_succ = _branch_weights(p, n)
-    return w_succ[:, None, None, None] * un + p_fail[:, None, None, None] * asm.stack
+    return w_succ[:, None, None, None] * un + p_fail[:, None, None, None] * stack
 
 
 def apply_filter(asm: Assemblage, filt: FilterOp | float):
@@ -116,7 +117,7 @@ def apply_filter(asm: Assemblage, filt: FilterOp | float):
     conditioned on success.
     """
     kappa = check_kappa(filt.kappa if isinstance(filt, FilterOp) else filt)
-    un, p = _filtered(asm, kappa)
+    un, p = _filtered(require_assemblage(asm).stack, kappa, asm.scenario)
     p = float(p[0])
     if p < P_SUCC_FLOOR:
         raise ZeroSuccessProbabilityError(f"p_succ = {p:.3e} below {P_SUCC_FLOOR:.0e}")
@@ -129,7 +130,8 @@ def distill(asm: Assemblage, kappa, n_copies: int) -> Assemblage:
     For inputs whose success probability is numerically zero the failure
     branch carries all the weight and the input is returned unchanged.
     """
-    stack = _distilled(asm, check_kappa(kappa), check_copies(n_copies))[0]
+    kappa, n = check_kappa(kappa), check_copies(n_copies)
+    stack = _distilled(require_assemblage(asm).stack, kappa, n, asm.scenario)[0]
     return Assemblage._of_stack(asm.scenario, stack, asm.theta)
 
 
@@ -261,7 +263,7 @@ def optimize_kappa(
             return np.sqrt(clamp_spectrum(w[..., None]))[..., 0]   # one spectrum per w: (K, E)
     else:
         def fidelities(grid):
-            return fidelity_terms(_distilled(asm, grid, n), ref)
+            return fidelity_terms(_distilled(asm.stack, grid, n, asm.scenario), ref)
 
     def scan(grid) -> np.ndarray:
         nonlocal evaluations

@@ -8,6 +8,7 @@ coefficients are printed decimals, kept verbatim.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .assemblage import (
     Assemblage,
     Scenario,
     element_keys,
+    ghz_assemblage,
     group_rows,
     require_assemblage,
     require_valid,
@@ -63,6 +65,19 @@ def root_fidelity(sigma, rho) -> float:
     return float(fidelity_terms(b, psd_sqrt(a)))
 
 
+@functools.lru_cache(maxsize=8)
+def _target_root(target: Assemblage) -> np.ndarray:
+    """Read-only principal roots of a target's elements; Assemblage hashes by identity."""
+    root = psd_sqrt(target.stack)
+    root.setflags(write=False)
+    return root
+
+
+def _worst_setting(terms: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Minimum over settings of the summed (..., E) root fidelities."""
+    return terms[..., group_rows(scenario)].sum(axis=-1).min(axis=-1)
+
+
 def assemblage_fidelity(asm: Assemblage, target: Assemblage) -> float:
     """Minimum over settings of the summed element root fidelities.
 
@@ -73,8 +88,14 @@ def assemblage_fidelity(asm: Assemblage, target: Assemblage) -> float:
         raise ScenarioMismatchError(
             f"cannot compare {asm.scenario.value} against {target.scenario.value}"
         )
-    f = fidelity_terms(require_psd(asm.stack), psd_sqrt(target.stack))
-    return float(f[group_rows(asm.scenario)].sum(axis=1).min())
+    f = fidelity_terms(require_psd(asm.stack), _target_root(target))
+    return float(_worst_setting(f, asm.scenario))
+
+
+def _ghz_fidelities(stacks: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """``assemblage_fidelity`` against the GHZ target of each row of a valid (T, E, d, d) block."""
+    f = fidelity_terms((stacks + dagger(stacks)) / 2, _target_root(ghz_assemblage(scenario)))
+    return _worst_setting(f, scenario)
 
 
 @dataclass(frozen=True)
@@ -123,48 +144,59 @@ def _term_table(scenario: Scenario, spec) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(name for name, *_ in spec), table
 
 
-# Correlators with Alice use the (-1)**a sign convention; the trusted
-# Z (x) Z marginal is read off the Z setting.
-_TERMS_1SDI = _term_table(Scenario.ONE_SIDED, (
-    ("ZZ", (MARGINAL_SETTING,), np.kron(PAULI_Z, PAULI_Z), (0,)),
-    ("A3ZB", (2,), np.kron(PAULI_Z, IDENTITY_2), (1,)),
-    ("A3ZC", (2,), np.kron(IDENTITY_2, PAULI_Z), (1,)),
-    ("A1XX", (0,), np.kron(PAULI_X, PAULI_X), (1,)),
-    ("A1YY", (0,), np.kron(PAULI_Y, PAULI_Y), (1,)),
-    ("A2XY", (1,), np.kron(PAULI_X, PAULI_Y), (1,)),
-    ("A2YX", (1,), np.kron(PAULI_Y, PAULI_X), (1,)),
-))
-# Joint correlators carry (-1)**(a+b); the single-party marginal terms fix
-# the partner's setting to the Z slot.
-_TERMS_2SDI = _term_table(Scenario.TWO_SIDED, (
-    ("A3B3", (2, 2), IDENTITY_2, (1, 1)),
-    ("A3ZC", (2, MARGINAL_SETTING), PAULI_Z, (1, 0)),
-    ("B3ZC", (MARGINAL_SETTING, 2), PAULI_Z, (0, 1)),
-    ("A1B1X", (0, 0), PAULI_X, (1, 1)),
-    ("A1B2Y", (0, 1), PAULI_Y, (1, 1)),
-    ("A2B1Y", (1, 0), PAULI_Y, (1, 1)),
-    ("A2B2X", (1, 1), PAULI_X, (1, 1)),
-))
+_TERMS = {
+    # Correlators with Alice use the (-1)**a sign convention; the trusted
+    # Z (x) Z marginal is read off the Z setting.
+    Scenario.ONE_SIDED: _term_table(Scenario.ONE_SIDED, (
+        ("ZZ", (MARGINAL_SETTING,), np.kron(PAULI_Z, PAULI_Z), (0,)),
+        ("A3ZB", (2,), np.kron(PAULI_Z, IDENTITY_2), (1,)),
+        ("A3ZC", (2,), np.kron(IDENTITY_2, PAULI_Z), (1,)),
+        ("A1XX", (0,), np.kron(PAULI_X, PAULI_X), (1,)),
+        ("A1YY", (0,), np.kron(PAULI_Y, PAULI_Y), (1,)),
+        ("A2XY", (1,), np.kron(PAULI_X, PAULI_Y), (1,)),
+        ("A2YX", (1,), np.kron(PAULI_Y, PAULI_X), (1,)),
+    )),
+    # Joint correlators carry (-1)**(a+b); the single-party marginal terms fix
+    # the partner's setting to the Z slot.
+    Scenario.TWO_SIDED: _term_table(Scenario.TWO_SIDED, (
+        ("A3B3", (2, 2), IDENTITY_2, (1, 1)),
+        ("A3ZC", (2, MARGINAL_SETTING), PAULI_Z, (1, 0)),
+        ("B3ZC", (MARGINAL_SETTING, 2), PAULI_Z, (0, 1)),
+        ("A1B1X", (0, 0), PAULI_X, (1, 1)),
+        ("A1B2Y", (0, 1), PAULI_Y, (1, 1)),
+        ("A2B1Y", (1, 0), PAULI_Y, (1, 1)),
+        ("A2B2X", (1, 1), PAULI_X, (1, 1)),
+    )),
+}
 
 
-def _witness(asm: Assemblage, scenario: Scenario, tables) -> WitnessResult:
+def _term_values(stacks: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Named expectation values of (..., E, d, d) stacks, one per ``_TERMS`` name (last axis)."""
+    return np.einsum("teij,...eji->...t", _TERMS[scenario][1], stacks).real
+
+
+def _witness(asm: Assemblage, scenario: Scenario) -> WitnessResult:
     if require_assemblage(asm).scenario is not scenario:
         raise ScenarioMismatchError(f"witness_{scenario.value} needs a {scenario.value} assemblage")
     require_valid(asm)
-    names, table = tables
-    values = np.einsum("teij,eji->t", table, asm.stack).real
-    terms = dict(zip(names, values.tolist()))
+    terms = dict(zip(_TERMS[scenario][0], _term_values(asm.stack, scenario).tolist()))
     return WitnessResult(scenario, witness_value_from_terms(scenario, terms), terms)
+
+
+def _witness_values(stacks: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Witness values (T,) of a valid (T, E, d, d) block, each as ``witness`` computes it."""
+    columns = _term_values(stacks, scenario).T
+    return witness_value_from_terms(scenario, dict(zip(_TERMS[scenario][0], columns)))
 
 
 def witness_1sdi(asm: Assemblage) -> WitnessResult:
     """One-sided genuine-steering witness; negative on steerable assemblages."""
-    return _witness(asm, Scenario.ONE_SIDED, _TERMS_1SDI)
+    return _witness(asm, Scenario.ONE_SIDED)
 
 
 def witness_2sdi(asm: Assemblage) -> WitnessResult:
     """Two-sided genuine-steering witness; negative on steerable assemblages."""
-    return _witness(asm, Scenario.TWO_SIDED, _TERMS_2SDI)
+    return _witness(asm, Scenario.TWO_SIDED)
 
 
 def witness(asm: Assemblage) -> WitnessResult:

@@ -1,7 +1,7 @@
 """The benchmark's steerdist-free oracles, applied to the CLI in-process.
 
-Chunk 1 of every steerbench workload, and chunks 2-4 of ``optimal_scan``,
-at smoke size and for two seeds, run through ``steerdist.cli.main``; each
+Chunk 1 of every steerbench workload, and chunks 2-4 of ``optimal_scan`` and
+``fixed_scan``, at smoke size and for two seeds, run through ``steerdist.cli.main``; each
 stdout must pass the oracle that the benchmark applies to it (closed forms,
 recorded witness roots, a rank-one optimizer reference and a Philox replay
 of every simulate histogram).
@@ -26,27 +26,33 @@ from steerdist.assemblage import Scenario, gghz_assemblage  # noqa: E402
 from steerdist.cli import main  # noqa: E402
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_smoke_chunk_passes_the_benchmark_oracles(tmp_path, capsys, workload, seed):
-    for i, request in enumerate(workloads.make_chunk(workload, seed, 1, smoke=True)):
+def assert_chunk_passes(tmp_path, capsys, workload, seed, chunk):
+    for i, request in enumerate(workloads.make_chunk(workload, seed, chunk, smoke=True)):
         code = main(request.argv_for(str(tmp_path), f"request_{i}.json"))
         captured = capsys.readouterr()
         assert code == 0, (request.argv, captured.err)
         verdict = oracles.check(request, captured.out)
         assert verdict is None, (request.argv, verdict)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_smoke_chunk_passes_the_benchmark_oracles(tmp_path, capsys, workload, seed):
+    assert_chunk_passes(tmp_path, capsys, workload, seed, 1)
 
 
 # The optimizer is where refused outputs have come from: more of its chunks.
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("chunk", [2, 3, 4])
 def test_more_optimal_scan_chunks_pass_the_benchmark_oracles(tmp_path, capsys, chunk, seed):
-    for i, request in enumerate(workloads.make_chunk("optimal_scan", seed, chunk, smoke=True)):
-        code = main(request.argv_for(str(tmp_path), f"request_{i}.json"))
-        captured = capsys.readouterr()
-        assert code == 0, (request.argv, captured.err)
-        verdict = oracles.check(request, captured.out)
-        assert verdict is None, (request.argv, verdict)
+    assert_chunk_passes(tmp_path, capsys, "optimal_scan", seed, chunk)
+
+
+# Known-kappa sweeps and thresholds are scored a block of theta at a time.
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("chunk", [2, 3, 4])
+def test_more_fixed_scan_chunks_pass_the_benchmark_oracles(tmp_path, capsys, chunk, seed):
+    assert_chunk_passes(tmp_path, capsys, "fixed_scan", seed, chunk)
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))

@@ -103,7 +103,7 @@ def test_distilled_rows_equal_distill(scenario, n):
     rng = np.random.default_rng(200 + n)
     asm = random_assemblage(rng, scenario)
     ks = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, size=6)])
-    rows = _distilled(asm, ks, n)
+    rows = _distilled(asm.stack, ks, n, asm.scenario)
     for k, kappa in enumerate(ks):
         assert np.array_equal(rows[k], distill(asm, kappa, n).stack)
 
@@ -116,7 +116,8 @@ def test_objective_at_kappa_star_equals_f_star(scenario, seed):
     n = int(rng.integers(2, 8))
     res = optimize_kappa(asm, n)
     target = ghz_assemblage(scenario)
-    f = fidelity_terms(_distilled(asm, [res.kappa_star], n), psd_sqrt(target.stack))
+    f = fidelity_terms(_distilled(asm.stack, [res.kappa_star], n, asm.scenario),
+                       psd_sqrt(target.stack))
     objective = f[:, group_rows(asm.scenario)].sum(axis=2).min(axis=1)[0]
     assert abs(objective - res.f_star) <= 1e-12
     assert abs(assemblage_fidelity(distill(asm, res.kappa_star, n), target) - res.f_star) <= 1e-12
