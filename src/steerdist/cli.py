@@ -8,9 +8,11 @@ when the assemblage is valid).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .errors import (
     ThetaOutOfRangeError,
     check_integer,
     check_real,
+    check_sequence,
 )
 from .linalg import require_psd
 from .metrics import _ghz_fidelities, _witness_values, assemblage_fidelity, witness
@@ -71,10 +74,15 @@ class SweepRow:
     s_2sdi: float | None = None
 
     def to_csv(self) -> str:
-        return ",".join(map(_fmt, astuple(self)))
+        return ",".join(map(_fmt, _row_cells(self)))
 
     def to_json_dict(self) -> dict:
-        return dict(zip(CSV_HEADER.split(","), astuple(self)))
+        return dict(zip(_CSV_COLUMNS, _row_cells(self)))
+
+
+# The fields' values, in order; the cells are numbers, text or None, so no copy is needed.
+_row_cells = attrgetter(*(f.name for f in fields(SweepRow)))
+_CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 
 
 def _fmt(v) -> str:
@@ -413,10 +421,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call: parse_args keeps no state between calls, and
+    # the one-shot process pays for it once either way.
+    return build_parser()
+
+
+def _check_argv(argv) -> tuple[str, ...]:
+    argv = check_sequence(argv, "argv")
+    for item in argv:
+        if not isinstance(item, str):
+            raise BadArgumentError(f"argv items must be str, got {item!r}")
+    return argv
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Repeated calls in one process share one parser.
+    """
     try:
+        args = _parser().parse_args(None if argv is None else _check_argv(argv))
         return args.func(args)
     except (SteerdistError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from steerdist import cli
 from steerdist.assemblage import Assemblage, Scenario, gghz_assemblage_1sdi, ghz_assemblage
 from steerdist.cli import (
     CSV_HEADER,
@@ -237,6 +238,15 @@ class TestThreshold:
         roots = [threshold_theta(kind, 4, scenario) for kind in ("optimal", "asymptotic", "none")]
         assert roots == sorted(roots) and len(set(roots)) == 3
 
+    @pytest.mark.parametrize("n_copies", [2, 3, 5, 6, 8])
+    @pytest.mark.parametrize("scenario", ["1sdi", "2sdi"])
+    def test_finite_n_roots_are_strictly_ordered(self, scenario, n_copies):
+        # the abstract's finite-N advantage: optimal < asymptotic < none
+        optimal, asymptotic, none = (
+            threshold_theta(kind, n_copies, scenario) for kind in ("optimal", "asymptotic", "none")
+        )
+        assert optimal < asymptotic < none
+
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
             threshold_theta("none", 2, "1sdi", lo=0.01, hi=0.05)
@@ -383,6 +393,24 @@ class TestUsageErrors:
             main(["sweep", "--filter", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--steps", 5], "sweep", b"sweep", 5, ["sweep", None], ("sweep", b"--steps")],
+        ids=repr,
+    )
+    def test_bad_argv_is_one_error_line(self, capsys, argv):
+        # an int used to raise TypeError; a str was parsed letter by letter
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: argv ")
+
+    def test_any_sequence_of_str_is_argv(self, capsys):
+        argv = ["sweep", "--steps", "2", "--scenario", "1sdi"]
+        expected = run_cli(capsys, argv)
+        assert expected[0] == 0
+        assert run_cli(capsys, tuple(argv)) == expected
+        assert run_cli(capsys, iter(argv)) == expected
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "steerdist", "sweep", "--theta-min", "0.1",
@@ -392,6 +420,58 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(CSV_HEADER)
+
+
+def test_repeated_calls_share_one_parser_and_match_fresh_ones(capsys, monkeypatch, tmp_path):
+    bad = gghz_assemblage_1sdi(0.3).to_json_dict()
+    bad["elements"]["0|0"][0][0][0] += 0.5
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad))
+    out_path = tmp_path / "sweep.csv"
+    sweep = ["sweep", "--theta-min", "0.1", "--theta-max", "0.3", "--steps", "3"]
+    session = [
+        ["sweep", "--filter", "bogus"],                          # usage error, exit 2
+        ["sweep", "--theta-min", "0.5", "--theta-max", "0.1"],   # SteerdistError, exit 1
+        sweep + ["--out", str(out_path)],
+        sweep,                                                   # must not inherit --out
+        ["sweep", "-h"],
+        ["validate", str(bad_path)],
+        ["simulate", "--theta", "0.3", "--kappa", "0.5", "--trials", "50", "--seed", "3"],
+        ["threshold", "--n", "1"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    fresh = []
+    for argv in session:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+
+    builds, build_parser = [], cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    shared = [call(argv) for argv in session]
+    cli._parser.cache_clear()
+
+    assert shared == fresh
+    assert len(builds) == 1
+    assert [r[0] for r in shared] == [2, 1, 0, 0, 0, 1, 0, 1]
+    assert shared[2][1] == "" and shared[2][3].startswith(CSV_HEADER)
+    assert shared[3][1] == shared[2][3] and shared[3][3] is None
+    assert shared[4][1].startswith("usage: steerdist sweep")
 
 
 def test_sweep_rows_generator_direct():

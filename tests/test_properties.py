@@ -1,10 +1,11 @@
 """Property tests over random inputs: closed form, distillation of GGHZ and
 of general sources, the two forms of the fidelity kernel, the kappa
-optimizer, JSON round trip and a fuzz of the JSON loader.
+optimizer, sweep row cells, JSON round trip and a fuzz of the JSON loader.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
 """
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -26,7 +27,8 @@ from steerdist.assemblage import (  # noqa: E402
     ghz_assemblage,
     validate,
 )
-from steerdist.distillation import distill, optimize_kappa  # noqa: E402
+from steerdist.cli import CSV_HEADER, SweepRow, _fmt  # noqa: E402
+from steerdist.distillation import P_SUCC_FLOOR, distill, optimize_kappa  # noqa: E402
 from steerdist.errors import SteerdistError  # noqa: E402
 from steerdist.linalg import _psd_factors  # noqa: E402
 from steerdist.metrics import assemblage_fidelity, fidelity_terms, witness  # noqa: E402
@@ -89,6 +91,32 @@ def test_distilled_assemblage_is_valid_and_fidelity_bounded(theta, kappa, n, sce
     f = assemblage_fidelity(dist, target)
     assert 0.0 <= f <= 1.0 + 1e-12
     assert f == pytest.approx(assemblage_fidelity(target, dist), abs=1e-9)
+
+
+def _distilled_gghz_closed_form(theta, kappa, n):
+    """(fidelity, S_1sdi, S_2sdi) of the N-copy distilled GGHZ, as in steerbench/oracles.py."""
+    c, s = math.cos(theta), math.sin(theta)
+    p = kappa * kappa * c * c + s * s
+    w_f = (1.0 - p) ** (n - 1)
+    r = (1.0 - w_f) / p
+    f_x = math.sqrt(0.5 * (r * (kappa * c + s) ** 2 + w_f * (c + s) ** 2))
+    f_z = math.sqrt(0.5 * c * c * (r * kappa * kappa + w_f)) + math.sqrt(0.5 * s * s * (r + w_f))
+    coherence = 2 * c * s * (r * kappa + w_f)
+    return (min(f_x, f_z), 1.0 + 0.1547 - (2.0 + 4.0 * coherence) / 3.0,
+            1.0 - 3 * 0.1831 - 4 * 0.2582 * coherence)
+
+
+@PROPERTY
+@given(theta=thetas, kappa=kappas, n=st.integers(2, 1000), scenario=scenarios)
+def test_distilled_gghz_matches_the_closed_form(theta, kappa, n, scenario):
+    # below P_SUCC_FLOOR distill counts the filter as certain failure, which
+    # the closed form's r = (1 - w_f) / p does not
+    assume(kappa * kappa * math.cos(theta) ** 2 + math.sin(theta) ** 2 >= P_SUCC_FLOOR)
+    dist = distill(gghz_assemblage(theta, scenario), kappa, n)
+    f, s_1sdi, s_2sdi = _distilled_gghz_closed_form(theta, kappa, n)
+    assert abs(assemblage_fidelity(dist, ghz_assemblage(scenario)) - f) <= 1e-12
+    s = s_1sdi if scenario is Scenario.ONE_SIDED else s_2sdi
+    assert abs(witness(dist).value - s) <= 1e-12
 
 
 @PROPERTY
@@ -177,6 +205,26 @@ def test_optimizer_f_star_is_the_distilled_fidelity_at_kappa_star(theta, noise, 
     res = optimize_kappa(source, n)
     at_star = assemblage_fidelity(distill(source, res.kappa_star, n), ghz_assemblage(scenario))
     assert abs(res.f_star - at_star) <= 1e-13
+
+
+float_cells = st.none() | st.floats() | st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, -1e308])
+
+
+@PROPERTY
+@given(
+    cells=st.tuples(float_cells, st.integers(0, 10**30),
+                    st.sampled_from(["none", "optimal", "asymptotic", "fixed"]),
+                    *[float_cells] * 6),
+)
+def test_sweep_row_cells_are_the_dataclass_fields(cells):
+    # the forms the row had when it read its cells through dataclasses.astuple
+    row = SweepRow(*cells)
+    old_csv = ",".join(map(_fmt, dataclasses.astuple(row)))
+    old_json = dict(zip(CSV_HEADER.split(","), dataclasses.astuple(row)))
+    assert row.to_csv() == old_csv
+    new_json = row.to_json_dict()
+    assert list(new_json) == list(old_json)
+    assert list(map(repr, new_json.values())) == list(map(repr, old_json.values()))
 
 
 def _stacks(scenario):
