@@ -32,10 +32,14 @@ from .distillation import (
 from .errors import BadArgumentError, check_integer
 from .states import check_theta
 
-# Cap on the filter outcomes one run draws, trials x (N - 1).  Sampling and
-# histogramming peak at 15-21 bytes per draw (measured for N = 2..8), so a
-# run at the cap needs about 0.7 GB.
+# Cap on the filter outcomes one run draws, trials x (N - 1).  It bounds run
+# time, not memory: a run at the cap takes 4-10 s (130-290 ns per draw for
+# N = 8..2 on a 2-vCPU x86_64 host) and, for N = 2..8, allocates under 1.1 MiB
+# beyond the process, since trials are drawn and counted DRAW_BLOCK at a time.
 MAX_DRAWS = 2**25
+# Trials drawn and counted at a time.
+DRAW_BLOCK = 2**14
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def single_copy_success_probability(theta, kappa) -> float:
@@ -97,18 +101,23 @@ def run_protocol(theta, kappa, n_copies: int, trials: int, seed: int) -> SimOutc
     p = single_copy_success_probability(t, k)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.random((trials, n - 1))
-    early_fail = draws >= p                       # c_n = 1 on filter failure
-    run_success = ~early_fail.all(axis=1)
-    success_count = int(run_success.sum())
-
-    bits = np.concatenate(
-        [early_fail.astype(np.uint8), run_success.astype(np.uint8)[:, None]], axis=1
-    )
-    rows, counts = np.unique(bits, axis=0, return_counts=True)
-    histogram = {
-        "".join(str(int(b)) for b in row): int(cnt) for row, cnt in zip(rows, counts)
-    }
+    # Blocks of rows drawn in order from the one stream equal the rows of a
+    # single (trials, n - 1) draw, so memory is bounded by the block size
+    # and the number of distinct bit strings, not by ``trials``.
+    bits = np.empty((min(trials, DRAW_BLOCK), n), dtype=np.uint8)
+    tally: dict[bytes, int] = {}
+    success_count = 0
+    for start in range(0, trials, DRAW_BLOCK):
+        block = bits[: min(DRAW_BLOCK, trials - start)]
+        early_fail = block[:, :-1]                # c_n = 1 on filter failure
+        np.greater_equal(rng.random(early_fail.shape), p, out=early_fail)
+        block[:, -1] = ~early_fail.all(axis=1)
+        success_count += int(block[:, -1].sum())
+        rows, counts = np.unique(block, axis=0, return_counts=True)
+        for key, cnt in zip(map(bytes, rows), counts.tolist()):
+            tally[key] = tally.get(key, 0) + cnt
+    # Sorted bytes keys are in np.unique's row order, the order of one draw.
+    histogram = {key.translate(_BIT_CHARS).decode(): tally[key] for key in sorted(tally)}
 
     base = gghz_assemblage_1sdi(t)
     if success_count == 0 or p < P_SUCC_FLOOR:

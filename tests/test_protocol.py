@@ -1,24 +1,30 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from steerdist.assemblage import (
     Scenario,
+    convex_mix,
     gghz_assemblage_1sdi,
     ghz_assemblage,
     validate,
 )
+from steerdist.cli import main
 from steerdist.distillation import (
     DistillationConfig,
     apply_filter,
     distilled_assemblage,
+    make_filter,
     two_copy_optimal_kappa,
 )
 from steerdist.errors import KappaOutOfRangeError, ThetaOutOfRangeError
 from steerdist.metrics import assemblage_fidelity, witness_1sdi
 from steerdist.protocol import (
+    DRAW_BLOCK,
+    SimOutcome,
     run_protocol,
     single_copy_success_probability,
     success_probability,
@@ -223,3 +229,66 @@ class TestSeededOutputPinned:
         out = run_protocol(*args)
         assert out.bitstring_histogram == replay
         assert out.success_count == int(bits[:, -1].sum())
+
+
+def reference_run(theta, kappa, n, trials, seed):
+    """run_protocol as one (trials, n - 1) draw and one np.unique over all rows."""
+    p = single_copy_success_probability(theta, kappa)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random((trials, n - 1))
+    early_fail = draws >= p
+    run_success = ~early_fail.all(axis=1)
+    bits = np.column_stack([early_fail, run_success]).astype(np.uint8)
+    rows, counts = np.unique(bits, axis=0, return_counts=True)
+    histogram = {"".join(map(str, row)): int(c) for row, c in zip(rows, counts)}
+    success_count = int(run_success.sum())
+    empirical = base = gghz_assemblage_1sdi(theta)
+    if success_count:
+        frac = success_count / trials
+        _, filtered = apply_filter(base, make_filter(kappa))
+        empirical = convex_mix([frac, 1.0 - frac], [filtered, base])
+    return SimOutcome(theta, kappa, n, trials, seed, success_count, histogram, empirical)
+
+
+BLOCK_EDGE_TRIALS = (1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 7)
+
+
+class TestDrawBlocks:
+    def assert_matches_reference(self, capsysbinary, theta, kappa, n, trials, seed):
+        out = run_protocol(theta, kappa, n, trials, seed)
+        ref = reference_run(theta, kappa, n, trials, seed)
+        assert list(out.bitstring_histogram.items()) == list(ref.bitstring_histogram.items())
+        assert out.success_count == ref.success_count
+        argv = ["simulate", "--theta", str(theta), "--kappa", str(kappa), "--n", str(n),
+                "--trials", str(trials), "--seed", str(seed)]
+        assert main(argv) == 0
+        expected = json.dumps(ref.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert capsysbinary.readouterr().out == expected.encode()
+        return out
+
+    @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_blocks_match_one_draw(self, capsysbinary, n, trials):
+        self.assert_matches_reference(capsysbinary, 0.3, 0.6, n, trials, 5)
+
+    @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
+    def test_identity_filter_blocks(self, capsysbinary, trials):
+        out = self.assert_matches_reference(capsysbinary, 0.3, 1.0, 4, trials, 6)
+        assert out.success_count == trials
+
+    @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
+    def test_never_succeeding_blocks(self, capsysbinary, trials):
+        out = self.assert_matches_reference(capsysbinary, 0.0, 0.0, 4, trials, 7)
+        assert out.success_count == 0
+        assert max_element_diff(out.empirical_assemblage, gghz_assemblage_1sdi(0.0)) == 0.0
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        run_protocol(0.3, 0.6, 8, 10, 1)   # fill the module caches first
+        peaks = []
+        for k in (2, 16):
+            tracemalloc.start()
+            try:
+                run_protocol(0.3, 0.6, 8, k * DRAW_BLOCK, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20
