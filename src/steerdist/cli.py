@@ -45,7 +45,7 @@ from .errors import (
     check_sequence,
 )
 from .linalg import require_psd
-from .metrics import _ghz_fidelities, _witness_values, assemblage_fidelity, witness
+from .metrics import _fidelities, _witness_values, assemblage_fidelity, witness
 from .protocol import run_protocol, success_probability
 from .states import THETA_MAX
 
@@ -162,7 +162,7 @@ def _block_rows(thetas, kappas, n_copies, filter_kind, scenarios):
     valid = np.logical_and.reduce([ok for _, ok in blocks])
     good = len(rows) if valid.all() else int(np.argmin(valid))
     for sc, (stacks, _) in zip(scenarios, blocks):
-        fidelities = _ghz_fidelities(stacks[:good], sc).tolist()
+        fidelities = _fidelities(stacks[:good], ghz_assemblage(sc)).tolist()
         for row, f, s in zip(rows, fidelities, _witness_values(stacks[:good], sc).tolist()):
             setattr(row, f"f_{sc.value}", f)
             setattr(row, f"s_{sc.value}", s)
@@ -234,24 +234,21 @@ def threshold_theta(filter_kind, n_copies, scenario="1sdi", fixed_kappa=None,
     """Bisect the witness zero of the (possibly distilled) GGHZ assemblage.
 
     The bracket is halved until it is at most ``tol`` wide or its midpoint
-    is no longer strictly inside it.  With a known kappa (any filter but
-    "optimal") the midpoints of the next BISECT_LEVELS steps are scored in
-    one block, and the steps read their values from it.
+    is no longer strictly inside it.  Every filter scores its points in
+    blocks of stacked arrays, with the numbers of a per-point witness, and
+    the steps read their values from them.  A block holds the midpoints of
+    the next BISECT_LEVELS steps, or of the next step only for "optimal",
+    where every point costs one optimizer run.
     """
     sc = Scenario(scenario)
     lo = check_real(lo, "lo", 0.0, THETA_MAX + 1e-12, ThetaOutOfRangeError)
     hi = check_real(hi, "hi", np.nextafter(lo, np.inf), THETA_MAX + 1e-12, ThetaOutOfRangeError)
     tol = check_real(tol, "tol", np.nextafter(0.0, 1.0))
     levels = 1 if filter_kind == "optimal" else BISECT_LEVELS
-    # theta -> witness value; an invalid known-kappa stack waits here until visited
+    # theta -> witness value; an invalid distilled stack waits here until visited
     scored: dict[float, float | np.ndarray] = {}
 
     def score(thetas) -> None:
-        if filter_kind == "optimal":
-            for theta in thetas:
-                kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
-                scored[theta] = witness(distill(gghz_assemblage(theta, sc), kappa, n_copies)).value
-            return
         kappas = [resolve_kappa(filter_kind, fixed_kappa, t, n_copies) for t in thetas]
         stacks, valid = _distilled_block(thetas, kappas, n_copies, sc)
         values = iter(_witness_values(stacks[valid], sc).tolist())

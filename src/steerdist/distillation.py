@@ -8,7 +8,6 @@ the two branches with weights 1 - (1-p)**(N-1) and (1-p)**(N-1).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +31,8 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .linalg import _psd_factors, clamp_spectrum
-from .metrics import fidelity_terms
+from .linalg import clamp_spectrum
+from .metrics import _target_factor, fidelity_terms
 from .states import check_theta
 
 # Success probabilities below this are treated as certain failure.
@@ -186,20 +185,6 @@ def kappa_prime_ncopy_fidelity(theta, n_copies: int) -> float:
     return math.sqrt(1.0 - 0.5 * (1.0 - math.sin(2 * t)) * math.cos(2 * t) ** (n - 1))
 
 
-def _reference(target_stack: np.ndarray) -> np.ndarray:
-    """Columns u (E, d, 1), u u^dag = target, if all its ranks are <= 1, else principal roots."""
-    factors, roots = _psd_factors(target_stack)
-    return roots if factors[..., :-1].any() else factors[..., -1:]
-
-
-@functools.cache
-def _ghz_reference(scenario: Scenario) -> np.ndarray:
-    """The default GHZ target's factor, built on first use and read-only."""
-    ref = _reference(ghz_assemblage(scenario).stack)
-    ref.setflags(write=False)
-    return ref
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     kappa_star: float
@@ -240,7 +225,7 @@ def optimize_kappa(
         raise ScenarioMismatchError(
             f"target is {target.scenario.value}, source is {asm.scenario.value}"
         )
-    ref = _ghz_reference(asm.scenario) if target is None else _reference(target.stack)
+    ref = _target_factor(target or ghz_assemblage(asm.scenario))
     rows = group_rows(asm.scenario)
     evaluations = 0
 

@@ -17,13 +17,12 @@ from .assemblage import (
     Assemblage,
     Scenario,
     element_keys,
-    ghz_assemblage,
     group_rows,
     require_assemblage,
     require_valid,
 )
 from .errors import DimMismatchError, ScenarioMismatchError
-from .linalg import as_matrix, clamp_spectrum, dagger, psd_sqrt, require_psd
+from .linalg import _psd_factors, as_matrix, clamp_spectrum, dagger, psd_sqrt, require_psd
 from .states import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 # Witness coefficients as published (decimals, not presumed exact surds).
@@ -66,16 +65,22 @@ def root_fidelity(sigma, rho) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _target_root(target: Assemblage) -> np.ndarray:
-    """Read-only principal roots of a target's elements; Assemblage hashes by identity."""
-    root = psd_sqrt(target.stack)
-    root.setflags(write=False)
-    return root
+def _target_factor(target: Assemblage) -> np.ndarray:
+    """Read-only factors R (E, d, r), R R^dag = element, of a target; Assemblage hashes by identity.
+
+    R is the column u (r = 1) when every element has rank <= 1, so that
+    ``fidelity_terms`` runs no eigensolve, and the principal root otherwise.
+    """
+    factors, roots = _psd_factors(target.stack)
+    factor = roots if factors[..., :-1].any() else factors[..., -1:]
+    factor.setflags(write=False)
+    return factor
 
 
-def _worst_setting(terms: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Minimum over settings of the summed (..., E) root fidelities."""
-    return terms[..., group_rows(scenario)].sum(axis=-1).min(axis=-1)
+def _fidelities(stacks: np.ndarray, target: Assemblage) -> np.ndarray:
+    """``assemblage_fidelity`` of each (E, d, d) stack of a trusted PSD (..., E, d, d) block."""
+    f = fidelity_terms(stacks, _target_factor(target))
+    return f[..., group_rows(target.scenario)].sum(axis=-1).min(axis=-1)
 
 
 def assemblage_fidelity(asm: Assemblage, target: Assemblage) -> float:
@@ -88,14 +93,7 @@ def assemblage_fidelity(asm: Assemblage, target: Assemblage) -> float:
         raise ScenarioMismatchError(
             f"cannot compare {asm.scenario.value} against {target.scenario.value}"
         )
-    f = fidelity_terms(require_psd(asm.stack), _target_root(target))
-    return float(_worst_setting(f, asm.scenario))
-
-
-def _ghz_fidelities(stacks: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """``assemblage_fidelity`` against the GHZ target of each row of a valid (T, E, d, d) block."""
-    f = fidelity_terms((stacks + dagger(stacks)) / 2, _target_root(ghz_assemblage(scenario)))
-    return _worst_setting(f, scenario)
+    return float(_fidelities(require_psd(asm.stack), target))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,11 @@ def single_copy_success_probability(theta, kappa) -> float:
 
 
 def success_probability(theta, kappa, n_copies: int) -> float:
-    """Probability that at least one of the N-1 filtered copies succeeds."""
+    """Probability that at least one of the N-1 filtered copies succeeds.
+
+    It applies no floor: the distillation's branch weights treat a one-copy
+    probability below ``P_SUCC_FLOOR`` as certain failure, this does not.
+    """
     n = check_copies(n_copies)
     p = single_copy_success_probability(theta, kappa)
     return 1.0 - (1.0 - p) ** (n - 1)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from steerdist import distillation
+from steerdist import cli, distillation, metrics
 from steerdist.assemblage import (
     Scenario,
     convex_mix,
@@ -373,19 +373,26 @@ class TestOptimizeKappa:
             raise AssertionError("a rank-one target's scan built a distilled stack")
 
         factorings = []
-        real = distillation._psd_factors
+        real = metrics._psd_factors
 
         def counted(m):
             factorings.append(m.shape)
             return real(m)
 
-        monkeypatch.setattr(distillation, "_distilled", no_stacks)
-        monkeypatch.setattr(distillation, "_psd_factors", counted)
-        distillation._ghz_reference.cache_clear()
-        for theta in (0.3, 0.5):
-            optimize_kappa(theta, 3, scenario=scenario)
-        optimize_kappa(gghz_assemblage(0.2, scenario), 4)
-        assert len(factorings) == 1
+        monkeypatch.setattr(metrics, "_psd_factors", counted)
+        metrics._target_factor.cache_clear()
+        with monkeypatch.context() as scans:
+            scans.setattr(distillation, "_distilled", no_stacks)
+            for theta in (0.3, 0.5):
+                optimize_kappa(theta, 3, scenario=scenario)
+            optimize_kappa(gghz_assemblage(0.2, scenario), 4)
+        # every other scorer of the GHZ target reads the same cached factor
+        assemblage_fidelity(gghz_assemblage(0.3, scenario), ghz_assemblage(scenario))
+        list(cli.sweep_rows(0.1, 0.7, 5, 3, "fixed", 0.6, scenario.value))
+        cli.threshold_theta("optimal", 3, scenario.value)
+        # the optimal threshold takes the 1sDI optimum, so it factors that target too
+        targets = {ghz_assemblage(sc).stack.shape for sc in (scenario, Scenario.ONE_SIDED)}
+        assert sorted(factorings) == sorted(targets)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_full_rank_target_keeps_square_roots(self, monkeypatch, scenario):

@@ -1,7 +1,8 @@
-"""Known-kappa sweeps and thresholds score theta in blocks; the numbers are the per-point ones.
+"""Sweeps and thresholds score theta in blocks; the numbers are the per-point ones.
 
-``sweep_rows`` and ``threshold_theta`` score the ``none``, ``asymptotic`` and
-``fixed`` filters from (T, E, d, d) stacks.  Every row must equal
+``sweep_rows`` scores the known-kappa filters ``none``, ``asymptotic`` and
+``fixed`` from (T, E, d, d) stacks, and ``threshold_theta`` scores every
+filter, ``optimal`` included, that way.  Every row must equal
 ``evaluate_point`` float for float, every root must equal a plain bisection
 over the per-point witness, memory must stay bounded on the largest grid,
 and an invalid distilled stack must raise the per-point path's error.
@@ -152,7 +153,7 @@ def test_grid_of_subnormal_spacing_is_linspace():
 
 @pytest.mark.parametrize("scenario", ["1sdi", "2sdi"])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
-@pytest.mark.parametrize("kind", KNOWN_KAPPA)
+@pytest.mark.parametrize("kind", KNOWN_KAPPA + ("optimal",))
 def test_threshold_replays_the_plain_bisection(kind, n, scenario):
     kappa = 0.6 if kind == "fixed" else None
     assert threshold_theta(kind, n, scenario, kappa) == reference_root(kind, n, scenario, kappa)
