@@ -32,7 +32,7 @@ from .errors import (
     check_real,
     check_sequence,
 )
-from .linalg import TOL_HERM, TOL_PSD, dagger, kron, partial_trace
+from .linalg import TOL_HERM, TOL_PSD, _lowest_eigenvalues, dagger, kron, partial_trace
 from .states import MeasurementSet, PureState, check_theta, pauli_xyz
 
 OUTCOMES = (0, 1)
@@ -297,7 +297,7 @@ def _deviations(stacks: np.ndarray, scenario: Scenario) -> list[tuple[str, np.nd
     per single-party marginal.
     """
     herm = np.abs(stacks - dagger(stacks)).max(axis=(-2, -1))
-    low = np.linalg.eigvalsh((stacks + dagger(stacks)) / 2)[..., 0]
+    low = _lowest_eigenvalues(stacks / 2 + dagger(stacks) / 2)
     totals = stacks[:, group_rows(scenario)].sum(axis=2)
     norm = np.abs(np.trace(totals, axis1=-2, axis2=-1).real - 1.0)
     # No-signaling: the reduced state summed over outcomes must not depend

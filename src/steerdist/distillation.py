@@ -35,7 +35,9 @@ from .linalg import clamp_spectrum
 from .metrics import _target_factor, fidelity_terms
 from .states import check_theta
 
-# Success probabilities below this are treated as certain failure.
+# One-copy success probabilities below this make apply_filter refuse and
+# run_protocol keep the unfiltered source; _branch_weights switches to
+# log1p/expm1 below it.
 P_SUCC_FLOOR = 1e-12
 
 # Optimizer knobs: the dense first scan guards against multimodality of
@@ -96,9 +98,21 @@ def _filtered(stack: np.ndarray, kappas, scenario: Scenario) -> tuple[np.ndarray
 
 def _branch_weights(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights p_fail = (1-p)**(N-1) of the input and w_succ = (1 - p_fail) / p of
-    the unnormalized filtered branch; p below P_SUCC_FLOOR is certain failure."""
-    p_fail = np.where(p >= P_SUCC_FLOOR, (1.0 - p) ** (n - 1), 1.0)
-    return p_fail, (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR)
+    the unnormalized filtered branch.
+
+    For 0 < p < P_SUCC_FLOOR, where 1 - p keeps too few digits of p, they are
+    exp((N-1) log1p(-p)) and -expm1((N-1) log1p(-p)) / p; p <= 0 is certain
+    failure (p_fail = 1, w_succ = 0).
+    """
+    above = p >= P_SUCC_FLOOR
+    p_fail = np.where(above, (1.0 - p) ** (n - 1), 1.0)
+    w_succ = (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR)
+    if not above.all():
+        tiny = ~above & (p > 0)
+        log_fail = (n - 1) * np.log1p(-p[tiny])
+        p_fail[tiny] = np.exp(log_fail)
+        w_succ[tiny] = -np.expm1(log_fail) / p[tiny]
+    return p_fail, w_succ
 
 
 def _distilled(stack: np.ndarray, kappas, n: int, scenario: Scenario) -> np.ndarray:
@@ -126,8 +140,8 @@ def apply_filter(asm: Assemblage, filt: FilterOp | float):
 def distill(asm: Assemblage, kappa, n_copies: int) -> Assemblage:
     """N-copy distilled mixture of the filtered and unfiltered branches.
 
-    For inputs whose success probability is numerically zero the failure
-    branch carries all the weight and the input is returned unchanged.
+    For inputs whose success probability is zero the failure branch carries
+    all the weight and the input is returned unchanged.
     """
     kappa, n = check_kappa(kappa), check_copies(n_copies)
     stack = _distilled(require_assemblage(asm).stack, kappa, n, asm.scenario)[0]

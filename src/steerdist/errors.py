@@ -72,6 +72,8 @@ class SchemaError(SteerdistError, ValueError):
 
 def _as_float(value) -> float:
     """float(value) for a real number within the float range, else NaN."""
+    if isinstance(value, float):   # float and np.float64, before the slower ABC check
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return math.nan
     try:

@@ -2,7 +2,8 @@
 
 Hermitian eigendecomposition, PSD matrix square roots, Kronecker products
 and partial traces over qubit factors.  All functions are pure and operate
-on plain complex ndarrays.
+on plain complex ndarrays.  The PSD checks of 2x2 matrices use the closed
+form of the smallest eigenvalue; 4x4 and 8x8 matrices go through LAPACK.
 """
 from __future__ import annotations
 
@@ -62,18 +63,33 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
-    """Check Hermiticity and return the exactly symmetrized matrix (or stack)."""
+    """Check Hermiticity and return the exactly symmetrized matrix (or stack).
+
+    The halves are taken first, so that no finite entry overflows.
+    """
     a = _as_stack(m)
     dev = float(np.max(np.abs(a - dagger(a))))
     if dev > check_real(tol, "tol", 0.0):
         raise NotHermitianError(f"max |m - m^dagger| = {dev:.3e} exceeds {tol:.1e}")
-    return (a + dagger(a)) / 2
+    return a / 2 + dagger(a) / 2
+
+
+def _lowest_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in a (..., d, d) stack.
+
+    For d = 2 it is a/2 + c/2 - hypot(a/2 - c/2, |b|) of [[a, b], [b*, c]],
+    halved first so that no finite entry overflows; larger d go to LAPACK.
+    """
+    if h.shape[-1] == 2:
+        a, c = h[..., 0, 0].real / 2, h[..., 1, 1].real / 2
+        return a + c - np.hypot(a - c, np.abs(h[..., 0, 1]))
+    return np.linalg.eigvalsh(h)[..., 0]
 
 
 def require_psd(m, tol: float = TOL_PSD) -> np.ndarray:
     """Check positive semidefiniteness (within tol) of a Hermitian matrix or stack."""
     a = require_hermitian(m)
-    low = float(np.linalg.eigvalsh(a)[..., 0].min())
+    low = float(_lowest_eigenvalues(a).min())
     if low < -tol:
         raise NotPSDError(f"eigenvalue {low:.3e} below -{tol:.1e}")
     return a

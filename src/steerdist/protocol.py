@@ -52,11 +52,13 @@ def single_copy_success_probability(theta, kappa) -> float:
 def success_probability(theta, kappa, n_copies: int) -> float:
     """Probability that at least one of the N-1 filtered copies succeeds.
 
-    It applies no floor: the distillation's branch weights treat a one-copy
-    probability below ``P_SUCC_FLOOR`` as certain failure, this does not.
+    It is 1 - p_fail of the distillation's branch weights: for one-copy
+    probabilities 0 < p < ``P_SUCC_FLOOR`` both switch to log1p/expm1.
     """
     n = check_copies(n_copies)
     p = single_copy_success_probability(theta, kappa)
+    if 0.0 < p < P_SUCC_FLOOR:   # 1 - p keeps too few digits of p
+        return -math.expm1((n - 1) * math.log1p(-p))
     return 1.0 - (1.0 - p) ** (n - 1)
 
 

@@ -55,6 +55,20 @@ def test_more_fixed_scan_chunks_pass_the_benchmark_oracles(tmp_path, capsys, chu
     assert_chunk_passes(tmp_path, capsys, "fixed_scan", seed, chunk)
 
 
+# One-copy success probabilities 0 < p < P_SUCC_FLOOR: with N = 10**30 the
+# filtered branch carries all the weight, and the witness changes sign
+# between the two rows in 1sDI.
+@pytest.mark.parametrize("scenario", ["1sdi", "2sdi"])
+def test_sweep_below_the_success_floor_passes_the_oracle(capsys, scenario):
+    spec = {"format": "json", "n": 10**30, "filter": "fixed:1e-7", "scenario": scenario,
+            "steps": 2, "theta_min": 1e-8, "theta_max": 2e-8}
+    argv = ["sweep", "--theta-min", "1e-8", "--theta-max", "2e-8", "--steps", "2",
+            "--filter", "fixed:1e-7", "--n", str(10**30), "--scenario", scenario,
+            "--format", "json"]
+    assert main(argv) == 0
+    assert oracles.check_sweep(spec, capsys.readouterr().out) is None
+
+
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_gghz_builder_matches_the_reference_elements(scenario):
     k = scenario.parties

@@ -1,5 +1,6 @@
 """Property tests over random inputs: closed form, distillation of GGHZ and
-of general sources, the two forms of the fidelity kernel, the kappa
+of general sources, the two forms of the fidelity kernel, the smallest
+eigenvalue of 2x2 Hermitian matrices behind the PSD checks, the kappa
 optimizer, sweep row cells, JSON round trip and a fuzz of the JSON loader.
 
 Runs are derandomized and keep no example database, so every run draws the
@@ -29,8 +30,8 @@ from steerdist.assemblage import (  # noqa: E402
 )
 from steerdist.cli import CSV_HEADER, SweepRow, _fmt  # noqa: E402
 from steerdist.distillation import P_SUCC_FLOOR, distill, optimize_kappa  # noqa: E402
-from steerdist.errors import SteerdistError  # noqa: E402
-from steerdist.linalg import _psd_factors  # noqa: E402
+from steerdist.errors import NotPSDError, SteerdistError  # noqa: E402
+from steerdist.linalg import TOL_PSD, _lowest_eigenvalues, _psd_factors, require_psd  # noqa: E402
 from steerdist.metrics import assemblage_fidelity, fidelity_terms, witness  # noqa: E402
 from steerdist.states import (  # noqa: E402
     PAULI_X,
@@ -109,8 +110,8 @@ def _distilled_gghz_closed_form(theta, kappa, n):
 @PROPERTY
 @given(theta=thetas, kappa=kappas, n=st.integers(2, 1000), scenario=scenarios)
 def test_distilled_gghz_matches_the_closed_form(theta, kappa, n, scenario):
-    # below P_SUCC_FLOOR distill counts the filter as certain failure, which
-    # the closed form's r = (1 - w_f) / p does not
+    # below P_SUCC_FLOOR the closed form's (1 - p)**(n - 1) keeps too few
+    # digits of p; distill switches to log1p/expm1 there
     assume(kappa * kappa * math.cos(theta) ** 2 + math.sin(theta) ** 2 >= P_SUCC_FLOOR)
     dist = distill(gghz_assemblage(theta, scenario), kappa, n)
     f, s_1sdi, s_2sdi = _distilled_gghz_closed_form(theta, kappa, n)
@@ -181,6 +182,48 @@ def test_column_factor_kernel_matches_square_root_kernel(source, kappa, n):
     by_column = fidelity_terms(stacks, factors[..., -1:])
     assert by_column.shape == (2, len(element_keys(source.scenario)))
     assert np.max(np.abs(by_column - fidelity_terms(stacks, roots))) <= 1e-12
+
+
+EPS = np.finfo(float).eps
+signs = st.sampled_from([-1.0, 1.0])
+signed_entries = st.builds(lambda s, x: s * x, signs, st.just(0.0) | st.floats(1e-300, 1e300))
+
+
+@st.composite
+def hermitian_2x2(draw):
+    """[[a, b], [b*, c]]: general, rank-one, degenerate, diagonal, or with diagonal +-1.7e308."""
+    kind = draw(st.sampled_from(["general", "rank_one", "degenerate", "diagonal", "huge"]))
+    a, c = draw(signed_entries), draw(signed_entries)
+    b = complex(draw(signed_entries), draw(signed_entries))
+    if kind == "rank_one":   # s v v^dag: |b|**2 = a c
+        s = draw(signs)
+        b = s * math.sqrt(abs(a)) * math.sqrt(abs(c)) * np.exp(1j * draw(angles))
+        a, c = s * abs(a), s * abs(c)
+    elif kind == "degenerate":
+        c, b = a, 0j
+    elif kind == "diagonal":
+        b = 0j
+    elif kind == "huge":
+        a, c = 1.7e308 * draw(signs), 1.7e308 * draw(signs)
+    return np.array([[a, b], [np.conj(b), c]])
+
+
+@FUZZ
+@given(h=hermitian_2x2())
+def test_lowest_eigenvalue_of_2x2_matches_lapack(h):
+    reference = float(np.linalg.eigvalsh(h)[0])
+    margin = 4 * EPS * float(np.abs(h).max())
+    low = float(_lowest_eigenvalues(h))
+    assert math.isfinite(low)
+    assert abs(low - reference) <= margin
+    # require_psd refuses exactly when LAPACK does, away from the boundary
+    assume(abs(reference + TOL_PSD) > margin)
+    try:
+        require_psd(h)
+        refused = False
+    except NotPSDError:
+        refused = True
+    assert refused == (reference < -TOL_PSD)
 
 
 @OPTIMIZER

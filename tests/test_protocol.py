@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import tracemalloc
@@ -14,7 +15,9 @@ from steerdist.assemblage import (
 )
 from steerdist.cli import main
 from steerdist.distillation import (
+    P_SUCC_FLOOR,
     DistillationConfig,
+    _branch_weights,
     apply_filter,
     distilled_assemblage,
     make_filter,
@@ -56,6 +59,20 @@ class TestSuccessProbability:
         got = success_probability(PI8, 0.5, 50)
         assert got == pytest.approx(expect, abs=1e-15)
         assert 1.0 - got < 1e-9
+
+    def test_below_the_floor_keeps_its_digits(self):
+        # p = sin^2(1e-7) ~ 1e-14 < P_SUCC_FLOOR and (N - 1) p ~ 1: 1 - p keeps
+        # about two digits of p, so 1 - (1 - p)**(N - 1) would be off by ~3e-4
+        p = single_copy_success_probability(1e-7, 0.0)
+        assert 0.0 < p < P_SUCC_FLOOR
+        n = 10**14 + 1
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = float(1 - (1 - decimal.Decimal(p)) ** (n - 1))
+        assert abs(success_probability(1e-7, 0.0, n) - exact) <= 1e-15
+        p_fail, w_succ = _branch_weights(np.array([p]), n)
+        assert abs(1.0 - p_fail[0] - exact) <= 1e-15
+        assert abs(w_succ[0] * p - exact) <= 1e-15
 
     def test_range_errors(self):
         with pytest.raises(ThetaOutOfRangeError):

@@ -44,6 +44,7 @@ from steerdist.states import PAULI_X, PAULI_Y, PAULI_Z, MeasurementSet, gghz
 from conftest import random_psd
 
 SEEDS = range(6)
+EPS = np.finfo(float).eps
 
 
 def random_unitary(rng):
@@ -168,11 +169,12 @@ def test_witness_terms_match_trace_loop(scenario, seed):
     assert res.value == witness_value_from_terms(scenario, res.terms)
 
 
+def key_str(k):
+    return f"{k[0]}|{k[1]}" if len(k) == 2 else f"{k[0]}{k[1]}|{k[2]}{k[3]}"
+
+
 def loop_validate(asm, tol=1e-10, tol_psd=1e-9):
     """(check, where, deviation) triples from an element-by-element scan."""
-    def key_str(k):
-        return f"{k[0]}|{k[1]}" if len(k) == 2 else f"{k[0]}{k[1]}|{k[2]}{k[3]}"
-
     out = []
     for k, m in asm.elements.items():
         dev = float(np.max(np.abs(m - m.conj().T)))
@@ -231,7 +233,15 @@ def test_validate_matches_element_loop(scenario, seed):
     broken = Assemblage(scenario, elements)
     report = validate(broken)
     assert not report.ok
-    assert [(v.check, v.where, v.deviation) for v in report.violations] == loop_validate(broken)
+    expect = loop_validate(broken)
+    assert [(v.check, v.where) for v in report.violations] == [e[:2] for e in expect]
+    scale = {key_str(k): float(np.abs(m).max()) for k, m in broken.elements.items()}
+    for v, (_, _, reference) in zip(report.violations, expect):
+        if v.check == "psd" and broken.element_dim == 2:
+            # the closed-form smallest eigenvalue of a 2x2 element, against LAPACK's
+            assert abs(v.deviation - reference) <= 4 * EPS * scale[v.where]
+        else:
+            assert v.deviation == reference
 
 
 def test_stack_is_read_only_and_shared():
