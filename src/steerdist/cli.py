@@ -21,7 +21,6 @@ from .assemblage import (
     Scenario,
     _gghz_stacks,
     _valid_rows,
-    gghz_assemblage,
     ghz_assemblage,
     require_valid,
     validate,
@@ -31,7 +30,6 @@ from .distillation import (
     asymptotic_kappa,
     check_copies,
     check_kappa,
-    distill,
     optimize_kappa,
     two_copy_optimal_kappa,
 )
@@ -44,15 +42,14 @@ from .errors import (
     check_real,
     check_sequence,
 )
-from .linalg import require_psd
-from .metrics import _fidelities, _witness_values, assemblage_fidelity, witness
+from .metrics import _fidelities, _witness_values
 from .protocol import run_protocol, success_probability
 from .states import THETA_MAX
 
 CSV_HEADER = "theta,n,filter,kappa,p_succ,f_1sdi,f_2sdi,s_1sdi,s_2sdi"
 # Grid points a sweep may ask for, exclusive.
 MAX_STEPS = 10**6
-# Known-kappa sweeps score this many grid points at a time, in about 2 MB.
+# Sweeps score this many grid points at a time, in about 2 MB.
 THETA_BLOCK = 256
 # Known-kappa thresholds score the midpoints of this many bisection levels,
 # 2**BISECT_LEVELS - 1 points, at a time.
@@ -124,27 +121,6 @@ def _scenarios(scenario) -> tuple[Scenario, ...]:
     return tuple(Scenario) if scenario == "both" else (Scenario(scenario),)
 
 
-def _unscored_row(theta, n_copies, kappa, filter_kind) -> SweepRow:
-    return SweepRow(
-        theta=check_real(theta, "theta"),
-        n_copies=check_copies(n_copies),
-        filter_kind=filter_kind,
-        kappa=check_kappa(kappa),
-        p_succ_total=success_probability(theta, kappa, n_copies),
-    )
-
-
-def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> SweepRow:
-    """Fidelity and witness of the distilled GGHZ assemblage at one point."""
-    scenarios = _scenarios(scenario)
-    row = _unscored_row(theta, n_copies, kappa, filter_kind)
-    for sc in scenarios:
-        dist = distill(gghz_assemblage(theta, sc), kappa, n_copies)
-        setattr(row, f"f_{sc.value}", assemblage_fidelity(dist, ghz_assemblage(sc)))
-        setattr(row, f"s_{sc.value}", witness(dist).value)
-    return row
-
-
 def _distilled_block(thetas, kappas, n_copies, sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Distilled GGHZ stacks (T, E, d, d), one per (theta, kappa), and their (T,) validity mask."""
     stacks = _distilled(_gghz_stacks(thetas, sc), kappas, check_copies(n_copies), sc)
@@ -152,12 +128,17 @@ def _distilled_block(thetas, kappas, n_copies, sc: Scenario) -> tuple[np.ndarray
 
 
 def _block_rows(thetas, kappas, n_copies, filter_kind, scenarios):
-    """``evaluate_point`` at every (theta, kappa) of a block, scored from (T, E, d, d) stacks.
+    """One SweepRow per (theta, kappa) of a block, scored from (T, E, d, d) stacks.
 
     Rows are yielded up to the first theta whose distilled stack is invalid
-    in some scenario; there the per-point path's checks raise its error.
+    in some scenario; there ``require_valid`` raises its error.
     """
-    rows = [_unscored_row(t, n_copies, k, filter_kind) for t, k in zip(thetas, kappas)]
+    rows = [
+        SweepRow(theta=check_real(t, "theta"), n_copies=check_copies(n_copies),
+                 filter_kind=filter_kind, kappa=check_kappa(k),
+                 p_succ_total=success_probability(t, k, n_copies))
+        for t, k in zip(thetas, kappas)
+    ]
     blocks = [_distilled_block(thetas, kappas, n_copies, sc) for sc in scenarios]
     valid = np.logical_and.reduce([ok for _, ok in blocks])
     good = len(rows) if valid.all() else int(np.argmin(valid))
@@ -169,9 +150,7 @@ def _block_rows(thetas, kappas, n_copies, filter_kind, scenarios):
     yield from rows[:good]
     if good < len(rows):
         for sc, (stacks, _) in zip(scenarios, blocks):
-            dist = Assemblage._of_stack(sc, stacks[good], thetas[good])
-            require_psd(dist.stack)   # assemblage_fidelity's check, then the witness's
-            require_valid(dist)
+            require_valid(Assemblage._of_stack(sc, stacks[good], thetas[good]))
 
 
 def _grid(lo: float, hi: float, steps: int, start: int, stop: int) -> np.ndarray:
@@ -191,28 +170,34 @@ def _grid(lo: float, hi: float, steps: int, start: int, stop: int) -> np.ndarray
     return y
 
 
+def _bracket(lo, hi, lo_name: str, hi_name: str) -> tuple[float, float]:
+    """Two angles in [0, THETA_MAX] with ``lo < hi``; anything else raises ThetaOutOfRangeError."""
+    top = THETA_MAX + 1e-12
+    lo = check_real(lo, lo_name, 0.0, top, ThetaOutOfRangeError)
+    hi = check_real(hi, hi_name, 0.0, top, ThetaOutOfRangeError)
+    if hi <= lo:
+        raise ThetaOutOfRangeError(
+            f"{hi_name} must be greater than {lo_name}, got {hi_name}={hi!r}, {lo_name}={lo!r}"
+        )
+    return lo, hi
+
+
 def sweep_rows(theta_min, theta_max, steps, n_copies, filter_kind, fixed_kappa=None,
                scenario="both"):
     """One SweepRow per point of the grid np.linspace(theta_min, theta_max, steps).
 
-    The grid is made THETA_BLOCK points at a time.  With a known kappa (any
-    filter but "optimal") each block is scored from stacked arrays, with the
-    numbers ``evaluate_point`` gives.
+    The grid is made and scored THETA_BLOCK points at a time: every filter
+    resolves the kappa of each point of a block first, then the block is
+    scored from stacked arrays, with the numbers of a per-point distill,
+    fidelity and witness.
     """
-    top = THETA_MAX + 1e-12
-    theta_min = check_real(theta_min, "theta_min", 0.0, top, ThetaOutOfRangeError)
-    theta_max = check_real(theta_max, "theta_max", np.nextafter(theta_min, np.inf), top,
-                           ThetaOutOfRangeError)
+    theta_min, theta_max = _bracket(theta_min, theta_max, "theta_min", "theta_max")
     steps = check_integer(steps, "steps", 2, MAX_STEPS)
+    scenarios = _scenarios(scenario)
     for start in range(0, steps, THETA_BLOCK):
         thetas = _grid(theta_min, theta_max, steps, start, min(start + THETA_BLOCK, steps))
-        if filter_kind == "optimal":
-            for theta in thetas:
-                kappa = resolve_kappa(filter_kind, fixed_kappa, theta, n_copies)
-                yield evaluate_point(theta, n_copies, kappa, filter_kind, scenario)
-        else:
-            kappas = [resolve_kappa(filter_kind, fixed_kappa, t, n_copies) for t in thetas]
-            yield from _block_rows(thetas, kappas, n_copies, filter_kind, _scenarios(scenario))
+        kappas = [resolve_kappa(filter_kind, fixed_kappa, t, n_copies) for t in thetas]
+        yield from _block_rows(thetas, kappas, n_copies, filter_kind, scenarios)
 
 
 def _bisection_points(lo: float, hi: float, tol: float, levels: int) -> list[float]:
@@ -241,8 +226,7 @@ def threshold_theta(filter_kind, n_copies, scenario="1sdi", fixed_kappa=None,
     where every point costs one optimizer run.
     """
     sc = Scenario(scenario)
-    lo = check_real(lo, "lo", 0.0, THETA_MAX + 1e-12, ThetaOutOfRangeError)
-    hi = check_real(hi, "hi", np.nextafter(lo, np.inf), THETA_MAX + 1e-12, ThetaOutOfRangeError)
+    lo, hi = _bracket(lo, hi, "lo", "hi")
     tol = check_real(tol, "tol", np.nextafter(0.0, 1.0))
     levels = 1 if filter_kind == "optimal" else BISECT_LEVELS
     # theta -> witness value; an invalid distilled stack waits here until visited

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from steerdist.assemblage import Assemblage, element_keys
+from steerdist.assemblage import Assemblage, Scenario, element_keys, gghz_assemblage, ghz_assemblage
+from steerdist.cli import SweepRow
+from steerdist.distillation import check_copies, check_kappa, distill
+from steerdist.errors import check_real
+from steerdist.metrics import assemblage_fidelity, witness
+from steerdist.protocol import success_probability
 
 
 def random_hermitian(rng, dim):
@@ -27,6 +32,25 @@ def white_noise(scenario):
     d, k = scenario.element_dim, scenario.parties
     keys = element_keys(scenario)
     return Assemblage(scenario, {key: np.eye(d, dtype=complex) / (d * 2**k) for key in keys})
+
+
+def evaluate_point(theta, n_copies, kappa, filter_kind, scenario="both") -> SweepRow:
+    """The sweep row at one point, from a per-point distill, fidelity and witness.
+
+    ``cli.sweep_rows`` scores whole blocks of theta; its rows must equal these.
+    """
+    row = SweepRow(
+        theta=check_real(theta, "theta"),
+        n_copies=check_copies(n_copies),
+        filter_kind=filter_kind,
+        kappa=check_kappa(kappa),
+        p_succ_total=success_probability(theta, kappa, n_copies),
+    )
+    for sc in tuple(Scenario) if scenario == "both" else (Scenario(scenario),):
+        dist = distill(gghz_assemblage(theta, sc), kappa, n_copies)
+        setattr(row, f"f_{sc.value}", assemblage_fidelity(dist, ghz_assemblage(sc)))
+        setattr(row, f"s_{sc.value}", witness(dist).value)
+    return row
 
 
 @pytest.fixture

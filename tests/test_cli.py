@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -11,7 +12,6 @@ from steerdist.cli import (
     CSV_HEADER,
     MAX_STEPS,
     _fmt,
-    evaluate_point,
     main,
     resolve_kappa,
     sweep_rows,
@@ -24,6 +24,8 @@ from steerdist.errors import (
     ThetaOutOfRangeError,
 )
 from steerdist.protocol import run_protocol
+
+from conftest import evaluate_point
 
 PI4 = math.pi / 4
 PI8 = math.pi / 8
@@ -156,6 +158,15 @@ class TestSweep:
         assert code == 1
         assert "error" in err
 
+    def test_empty_range_names_both_ends(self, capsys):
+        # the refusal used to print the refused value inside the range it gave
+        code, out, err = run_cli(
+            capsys, ["sweep", "--theta-min", "1e-7", "--theta-max", "1e-7", "--steps", "2"]
+        )
+        assert code == 1 and out == ""
+        assert err == ("error: theta_max must be greater than theta_min, "
+                       "got theta_max=1e-07, theta_min=1e-07\n")
+
     def test_steps_past_the_cap_is_one_error_line(self, capsys):
         code, out, err = run_cli(capsys, ["sweep", "--steps", str(10**18)])
         assert code == 1 and out == ""
@@ -257,6 +268,12 @@ class TestThreshold:
         # a reversed bracket used to skip the loop and return its midpoint
         with pytest.raises(ThetaOutOfRangeError):
             threshold_theta("none", 2, "1sdi", lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0.3, 0.3), (0.5, 0.01)])
+    def test_empty_bracket_names_both_ends(self, lo, hi):
+        with pytest.raises(ThetaOutOfRangeError) as info:
+            threshold_theta("none", 2, lo=lo, hi=hi)
+        assert str(info.value) == f"hi must be greater than lo, got hi={hi!r}, lo={lo!r}"
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, "1e-6", True])
     def test_bad_tolerance_is_refused(self, tol):
@@ -549,6 +566,8 @@ class TestUnknownKinds:
     @pytest.mark.parametrize("scenario", ["3sdi", "1SDI", "Both", "", None])
     def test_unknown_scenario_is_refused(self, scenario):
         with pytest.raises(ScenarioMismatchError):
-            evaluate_point(0.3, 2, 0.5, "fixed", scenario)
-        with pytest.raises(ScenarioMismatchError):
             list(sweep_rows(0.1, 0.3, 3, 2, "none", scenario=scenario))
+        # refused before any kappa of the block is resolved, so before any optimizer run
+        with mock.patch.object(cli, "resolve_kappa", side_effect=AssertionError), \
+                pytest.raises(ScenarioMismatchError):
+            next(sweep_rows(0.1, 0.3, 3, 2, "optimal", scenario=scenario))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -98,8 +98,14 @@ def _distilled_gghz_closed_form(theta, kappa, n):
     """(fidelity, S_1sdi, S_2sdi) of the N-copy distilled GGHZ, as in steerbench/oracles.py."""
     c, s = math.cos(theta), math.sin(theta)
     p = kappa * kappa * c * c + s * s
-    w_f = (1.0 - p) ** (n - 1)
-    r = (1.0 - w_f) / p
+    if p >= P_SUCC_FLOOR:   # log1p(-p) would raise at p = 1
+        w_f = (1.0 - p) ** (n - 1)
+        r = (1.0 - w_f) / p
+    elif p > 0:   # (1 - p)**(n - 1) keeps too few digits of p here
+        log_w_f = (n - 1) * math.log1p(-p)
+        w_f, r = math.exp(log_w_f), -math.expm1(log_w_f) / p
+    else:   # no copy ever passes the filter
+        w_f, r = 1.0, 0.0
     f_x = math.sqrt(0.5 * (r * (kappa * c + s) ** 2 + w_f * (c + s) ** 2))
     f_z = math.sqrt(0.5 * c * c * (r * kappa * kappa + w_f)) + math.sqrt(0.5 * s * s * (r + w_f))
     coherence = 2 * c * s * (r * kappa + w_f)
@@ -109,10 +115,14 @@ def _distilled_gghz_closed_form(theta, kappa, n):
 
 @PROPERTY
 @given(theta=thetas, kappa=kappas, n=st.integers(2, 1000), scenario=scenarios)
+@example(theta=0.0, kappa=0.0, n=2, scenario=Scenario.ONE_SIDED)
+@example(theta=0.0, kappa=0.0, n=1000, scenario=Scenario.TWO_SIDED)
+@example(theta=1e-7, kappa=0.0, n=2, scenario=Scenario.ONE_SIDED)
+@example(theta=1e-7, kappa=0.0, n=1000, scenario=Scenario.TWO_SIDED)
+@example(theta=1e-7, kappa=1e-7, n=2, scenario=Scenario.TWO_SIDED)
+@example(theta=1e-7, kappa=1e-7, n=1000, scenario=Scenario.ONE_SIDED)
 def test_distilled_gghz_matches_the_closed_form(theta, kappa, n, scenario):
-    # below P_SUCC_FLOOR the closed form's (1 - p)**(n - 1) keeps too few
-    # digits of p; distill switches to log1p/expm1 there
-    assume(kappa * kappa * math.cos(theta) ** 2 + math.sin(theta) ** 2 >= P_SUCC_FLOOR)
+    # below P_SUCC_FLOOR both distill and the closed form use log1p/expm1
     dist = distill(gghz_assemblage(theta, scenario), kappa, n)
     f, s_1sdi, s_2sdi = _distilled_gghz_closed_form(theta, kappa, n)
     assert abs(assemblage_fidelity(dist, ghz_assemblage(scenario)) - f) <= 1e-12

@@ -1,11 +1,11 @@
 """Sweeps and thresholds score theta in blocks; the numbers are the per-point ones.
 
-``sweep_rows`` scores the known-kappa filters ``none``, ``asymptotic`` and
-``fixed`` from (T, E, d, d) stacks, and ``threshold_theta`` scores every
-filter, ``optimal`` included, that way.  Every row must equal
-``evaluate_point`` float for float, every root must equal a plain bisection
-over the per-point witness, memory must stay bounded on the largest grid,
-and an invalid distilled stack must raise the per-point path's error.
+``sweep_rows`` and ``threshold_theta`` score every filter, ``optimal``
+included, from (T, E, d, d) stacks.  Every row must equal the per-point
+reference ``conftest.evaluate_point`` float for float, every root must equal
+a plain bisection over the per-point witness, memory must stay bounded on
+the largest grid, and an invalid distilled stack must raise ``require_valid``'s
+error.
 """
 import math
 import signal
@@ -17,22 +17,18 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from steerdist import cli  # noqa: E402
 from steerdist.assemblage import Assemblage, Scenario, gghz_assemblage, require_valid  # noqa: E402
-from steerdist.cli import (  # noqa: E402
-    MAX_STEPS,
-    evaluate_point,
-    resolve_kappa,
-    sweep_rows,
-    threshold_theta,
-)
+from steerdist.cli import MAX_STEPS, resolve_kappa, sweep_rows, threshold_theta  # noqa: E402
 from steerdist.distillation import distill  # noqa: E402
 from steerdist.errors import InvariantViolationError, NoSignChangeError  # noqa: E402
 from steerdist.metrics import witness  # noqa: E402
 from steerdist.states import THETA_MAX  # noqa: E402
+
+from conftest import evaluate_point  # noqa: E402
 
 EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 KNOWN_KAPPA = ("none", "asymptotic", "fixed")
@@ -113,10 +109,12 @@ def require_valid_text(scenario, theta, kappa, n):
     steps=st.integers(2, 12),
     block=st.integers(1, 8),
     n=st.one_of(st.integers(2, 1000), st.just(10**30)),
-    kind=st.sampled_from(KNOWN_KAPPA),
+    kind=st.sampled_from(KNOWN_KAPPA + ("optimal",)),
     kappa=st.floats(0.0, 1.0),
     scenario=st.sampled_from(["1sdi", "2sdi", "both"]),
 )
+@example(lo=0.1, width=0.6, steps=12, block=5, n=3, kind="optimal", kappa=0.0, scenario="both")
+@example(lo=0.0, width=0.7, steps=7, block=3, n=10**30, kind="optimal", kappa=0.0, scenario="2sdi")
 def test_block_rows_equal_evaluate_point(lo, width, steps, block, n, kind, kappa, scenario):
     hi = min(lo + width, THETA_MAX + 1e-12)
     assume(hi > lo)
