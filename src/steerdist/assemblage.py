@@ -240,7 +240,10 @@ class Assemblage:
     @classmethod
     def load(cls, path) -> "Assemblage":
         with open(check_path(path), encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except RecursionError as exc:   # nesting deeper than the parser's stack
+                raise SchemaError(f"malformed assemblage JSON (RecursionError: {exc})") from exc
 
 
 def require_assemblage(asm, name: str = "assemblage") -> Assemblage:

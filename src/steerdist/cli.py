@@ -26,6 +26,7 @@ from .assemblage import (
     validate,
 )
 from .distillation import (
+    _branch_weights,
     _distilled,
     asymptotic_kappa,
     check_copies,
@@ -43,7 +44,7 @@ from .errors import (
     check_sequence,
 )
 from .metrics import _fidelities, _witness_values
-from .protocol import run_protocol, success_probability
+from .protocol import run_protocol, single_copy_success_probability
 from .states import THETA_MAX
 
 CSV_HEADER = "theta,n,filter,kappa,p_succ,f_1sdi,f_2sdi,s_1sdi,s_2sdi"
@@ -133,12 +134,10 @@ def _block_rows(thetas, kappas, n_copies, filter_kind, scenarios):
     Rows are yielded up to the first theta whose distilled stack is invalid
     in some scenario; there ``require_valid`` raises its error.
     """
-    rows = [
-        SweepRow(theta=check_real(t, "theta"), n_copies=check_copies(n_copies),
-                 filter_kind=filter_kind, kappa=check_kappa(k),
-                 p_succ_total=success_probability(t, k, n_copies))
-        for t, k in zip(thetas, kappas)
-    ]
+    n = check_copies(n_copies)
+    p = np.array([single_copy_success_probability(t, k) for t, k in zip(thetas, kappas)])
+    rows = [SweepRow(check_real(t, "theta"), n, filter_kind, check_kappa(k), p_succ)
+            for t, k, p_succ in zip(thetas, kappas, _branch_weights(p, n)[1].tolist())]
     blocks = [_distilled_block(thetas, kappas, n_copies, sc) for sc in scenarios]
     valid = np.logical_and.reduce([ok for _, ok in blocks])
     good = len(rows) if valid.all() else int(np.argmin(valid))

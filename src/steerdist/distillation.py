@@ -96,29 +96,29 @@ def _filtered(stack: np.ndarray, kappas, scenario: Scenario) -> tuple[np.ndarray
     return un, p
 
 
-def _branch_weights(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights p_fail = (1-p)**(N-1) of the input and w_succ = (1 - p_fail) / p of
-    the unnormalized filtered branch.
-
-    For 0 < p < P_SUCC_FLOOR, where 1 - p keeps too few digits of p, they are
-    exp((N-1) log1p(-p)) and -expm1((N-1) log1p(-p)) / p; p <= 0 is certain
-    failure (p_fail = 1, w_succ = 0).
+def _branch_weights(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights p_fail = (1-p)**(N-1) of the input, p_succ = 1 - p_fail, and
+    w_succ = p_succ / p of the unnormalized filtered branch.  libm computes every
+    power, so the bits do not depend on numpy's SIMD dispatch.  For 0 < p <
+    P_SUCC_FLOOR, where 1 - p keeps too few digits of p, p_fail and p_succ are
+    exp and -expm1 of (N-1) log1p(-p); p <= 0 is certain failure (p_succ = 0).
     """
     above = p >= P_SUCC_FLOOR
-    p_fail = np.where(above, (1.0 - p) ** (n - 1), 1.0)
-    w_succ = (1.0 - p_fail) / np.maximum(p, P_SUCC_FLOOR)
+    p_fail = np.where(above, np.float_power(1.0 - p, n - 1), 1.0)
+    p_succ = 1.0 - p_fail
+    w_succ = p_succ / np.maximum(p, P_SUCC_FLOOR)
     if not above.all():
-        tiny = ~above & (p > 0)
-        log_fail = (n - 1) * np.log1p(-p[tiny])
-        p_fail[tiny] = np.exp(log_fail)
-        w_succ[tiny] = -np.expm1(log_fail) / p[tiny]
-    return p_fail, w_succ
+        for i in zip(*np.nonzero(~above & (p > 0))):
+            log_fail = (n - 1) * math.log1p(-p[i])
+            p_fail[i], p_succ[i] = math.exp(log_fail), -math.expm1(log_fail)
+            w_succ[i] = p_succ[i] / p[i]
+    return p_fail, p_succ, w_succ
 
 
 def _distilled(stack: np.ndarray, kappas, n: int, scenario: Scenario) -> np.ndarray:
     """N-copy distilled stacks (K, E, d, d) of ``_filtered``'s input, mixed by _branch_weights."""
     un, p = _filtered(stack, kappas, scenario)
-    p_fail, w_succ = _branch_weights(p, n)
+    p_fail, _, w_succ = _branch_weights(p, n)
     return w_succ[:, None, None, None] * un + p_fail[:, None, None, None] * stack
 
 
@@ -257,7 +257,7 @@ def optimize_kappa(
 
         def fidelities(grid):
             k = grid[:, None]
-            p_fail, w_succ = _branch_weights(p0 * k * k + p1, n)
+            p_fail, _, w_succ = _branch_weights(p0 * k * k + p1, n)
             w = w_succ * (a * k * k + b * k + c) + p_fail * (a + b + c)
             return np.sqrt(clamp_spectrum(w[..., None]))[..., 0]   # one spectrum per w: (K, E)
     else:

@@ -24,6 +24,7 @@ import numpy as np
 from .assemblage import Assemblage, convex_mix, gghz_assemblage_1sdi
 from .distillation import (
     P_SUCC_FLOOR,
+    _branch_weights,
     apply_filter,
     check_copies,
     check_kappa,
@@ -52,14 +53,12 @@ def single_copy_success_probability(theta, kappa) -> float:
 def success_probability(theta, kappa, n_copies: int) -> float:
     """Probability that at least one of the N-1 filtered copies succeeds.
 
-    It is 1 - p_fail of the distillation's branch weights: for one-copy
-    probabilities 0 < p < ``P_SUCC_FLOOR`` both switch to log1p/expm1.
+    It is the p_succ of the distillation's branch weights, which libm
+    evaluates, with log1p/expm1 for one-copy probabilities 0 < p < P_SUCC_FLOOR.
     """
     n = check_copies(n_copies)
     p = single_copy_success_probability(theta, kappa)
-    if 0.0 < p < P_SUCC_FLOOR:   # 1 - p keeps too few digits of p
-        return -math.expm1((n - 1) * math.log1p(-p))
-    return 1.0 - (1.0 - p) ** (n - 1)
+    return float(_branch_weights(np.array([p]), n)[1][0])
 
 
 @dataclass(frozen=True)

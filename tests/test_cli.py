@@ -21,6 +21,7 @@ from steerdist.errors import (
     BadArgumentError,
     NoSignChangeError,
     ScenarioMismatchError,
+    SchemaError,
     ThetaOutOfRangeError,
 )
 from steerdist.protocol import run_protocol
@@ -397,6 +398,20 @@ class TestValidate:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, ["validate", str(path)])
         assert code == 1
+
+    @pytest.mark.parametrize("depth", [1000, 100_000])
+    @pytest.mark.parametrize("command", [["validate"], ["optimize", "--n", "2", "--assemblage"]])
+    def test_deeply_nested_file_is_one_error_line(self, capsys, tmp_path, depth, command):
+        # 2 KB at depth 1000 used to end in a RecursionError traceback;
+        # json.dumps would itself recurse, so the text is written directly
+        path = tmp_path / "deep.json"
+        path.write_text('{"scenario": "1sdi", "elements": {"0|0": '
+                        + "[" * depth + "]" * depth + "}}")
+        with pytest.raises(SchemaError):
+            Assemblage.load(path)
+        code, out, err = run_cli(capsys, command + [str(path)])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestUsageErrors:

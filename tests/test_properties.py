@@ -1,14 +1,18 @@
 """Property tests over random inputs: closed form, distillation of GGHZ and
-of general sources, the two forms of the fidelity kernel, the smallest
-eigenvalue of 2x2 Hermitian matrices behind the PSD checks, the kappa
-optimizer, sweep row cells, JSON round trip and a fuzz of the JSON loader.
+of general sources, the N-copy branch weights, the two forms of the fidelity
+kernel, the smallest eigenvalue of 2x2 Hermitian matrices behind the PSD
+checks, the kappa optimizer, sweep row cells, JSON round trip, and fuzzes of
+the JSON loader and of the CLI commands that read an assemblage file.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
 """
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -28,11 +32,17 @@ from steerdist.assemblage import (  # noqa: E402
     ghz_assemblage,
     validate,
 )
-from steerdist.cli import CSV_HEADER, SweepRow, _fmt  # noqa: E402
-from steerdist.distillation import P_SUCC_FLOOR, distill, optimize_kappa  # noqa: E402
+from steerdist.cli import CSV_HEADER, SweepRow, _fmt, main  # noqa: E402
+from steerdist.distillation import (  # noqa: E402
+    P_SUCC_FLOOR,
+    _branch_weights,
+    distill,
+    optimize_kappa,
+)
 from steerdist.errors import NotPSDError, SteerdistError  # noqa: E402
 from steerdist.linalg import TOL_PSD, _lowest_eigenvalues, _psd_factors, require_psd  # noqa: E402
 from steerdist.metrics import assemblage_fidelity, fidelity_terms, witness  # noqa: E402
+from steerdist.protocol import single_copy_success_probability, success_probability  # noqa: E402
 from steerdist.states import (  # noqa: E402
     PAULI_X,
     PAULI_Y,
@@ -128,6 +138,31 @@ def test_distilled_gghz_matches_the_closed_form(theta, kappa, n, scenario):
     assert abs(assemblage_fidelity(dist, ghz_assemblage(scenario)) - f) <= 1e-12
     s = s_1sdi if scenario is Scenario.ONE_SIDED else s_2sdi
     assert abs(witness(dist).value - s) <= 1e-12
+
+
+@PROPERTY
+@given(
+    theta=thetas,
+    kappa=kappas,
+    more=st.lists(st.floats(0.0, 1.0) | st.floats(0.0, P_SUCC_FLOOR), max_size=8),
+    n=st.integers(2, 1000) | st.just(10**30),
+)
+# p_succ of success_probability and of the branch weights used to differ in the
+# last bit here: numpy squares at N = 3, and on AVX-512 takes its own power
+@example(theta=0.4313, kappa=0.4252, more=[], n=3)
+@example(theta=0.1735, kappa=0.6047, more=[], n=4)
+@example(theta=1e-7, kappa=0.0, more=[0.0, 1.0, 1e-300], n=10**30)
+def test_branch_weights_are_one_libm_formula(theta, kappa, more, n):
+    p = np.array([single_copy_success_probability(theta, kappa), *more])
+    weights = [w.tolist() for w in _branch_weights(p, n)]   # p_fail, p_succ, w_succ
+    assert success_probability(theta, kappa, n).hex() == weights[1][0].hex()
+    as_column = _branch_weights(p[:, None], n)   # the optimizer's (K, 1) shape
+    for i, p_i in enumerate(p.tolist()):
+        if p_i >= P_SUCC_FLOOR:
+            assert weights[0][i].hex() == ((1.0 - p_i) ** (n - 1)).hex()
+        alone = _branch_weights(p[i:i + 1], n)
+        for w, w_alone, w_column in zip(weights, alone, as_column):
+            assert w[i].hex() == float(w_alone[0]).hex() == float(w_column[i, 0]).hex()
 
 
 @PROPERTY
@@ -364,3 +399,39 @@ def test_json_loader_fuzz(doc):
     except SteerdistError:
         return
     assert isinstance(asm, Assemblage)
+
+
+# JSON texts nested deeper than the parser's recursion limit; json.dumps would
+# itself recurse on them, so they are written as text.
+deep_texts = st.builds(
+    lambda depth, wrap: wrap.replace("*", "[" * depth + "]" * depth),
+    st.integers(1000, 5000),
+    st.sampled_from(["*", '{"scenario": "1sdi", "elements": {"0|0": *}}', '{"theta": *}']),
+)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@FUZZ
+@given(text=(_mutated_documents() | _near_documents() | json_values).map(json.dumps) | deep_texts)
+@example(text=json.dumps(VALID_DOCUMENTS[1]))
+def test_cli_file_fuzz(tmp_path_factory, text):
+    # no traceback and no usage error (exit 2): a result, or one diagnostic line
+    with tempfile.NamedTemporaryFile("w", suffix=".json", dir=tmp_path_factory.getbasetemp(),
+                                     encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        results = [(argv, *_run_main(argv)) for argv in (
+            ["validate", fh.name], ["optimize", "--n", "2", "--assemblage", fh.name])]
+    for argv, code, out, err in results:
+        assert (code, err) == (0, "") or (code == 1 and len(err.splitlines()) == 1)
+        if err.startswith("error: "):
+            assert out == ""
+        elif code == 1:
+            assert argv[0] == "validate" and err.startswith(f"{argv[1]}: ")
+            assert err.endswith(" violation(s)\n") and json.loads(out)["ok"] is False

@@ -70,7 +70,7 @@ class TestSuccessProbability:
             ctx.prec = 50
             exact = float(1 - (1 - decimal.Decimal(p)) ** (n - 1))
         assert abs(success_probability(1e-7, 0.0, n) - exact) <= 1e-15
-        p_fail, w_succ = _branch_weights(np.array([p]), n)
+        p_fail, _, w_succ = _branch_weights(np.array([p]), n)
         assert abs(1.0 - p_fail[0] - exact) <= 1e-15
         assert abs(w_succ[0] * p - exact) <= 1e-15
 
