@@ -284,20 +284,10 @@ def _emit_json(doc, out_path) -> None:
 
 
 def cmd_sweep(args) -> int:
-    rows = list(
-        sweep_rows(
-            args.theta_min,
-            args.theta_max,
-            args.steps,
-            args.n,
-            args.filter[0],
-            args.filter[1],
-            args.scenario,
-        )
-    )
+    rows = sweep_rows(args.theta_min, args.theta_max, args.steps, args.n, *args.filter,
+                      args.scenario)
     if args.format == "csv":
-        lines = [CSV_HEADER] + [r.to_csv() for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join([CSV_HEADER, *(r.to_csv() for r in rows)]) + "\n", args.out)
     else:
         _emit_json([r.to_json_dict() for r in rows], args.out)
     return 0

@@ -31,8 +31,8 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .linalg import clamp_spectrum
-from .metrics import _target_factor, fidelity_terms
+from .linalg import dagger
+from .metrics import _root_sum, _sandwich, _target_factor
 from .states import check_theta
 
 # One-copy success probabilities below this make apply_filter refuse and
@@ -218,12 +218,15 @@ def optimize_kappa(
     ``source`` is either a GGHZ angle (an assemblage is built for the given
     scenario, one-sided by default) or an arbitrary valid assemblage.
     ``target`` defaults to the perfectly steerable GHZ assemblage of the
-    matching scenario; against a rank <= 1 target such as this one, a kappa
-    costs O(E) arithmetic.  A dense scan of [0, 1] finds the best point, exact
-    ties going to their middle; its two neighbouring cells are re-scanned
-    on a finer grid until they span at most 1e-8 (``bracket_width``).  The
-    refined point then competes with the domain ends, which win ties within
-    ``F_TIE_TOL`` toward the larger kappa (higher success probability).
+    matching scenario.  Every target is scored against its eigen-factors F
+    (r columns, r = 1 when every element has rank <= 1, such as this one):
+    a kappa costs E blocks of r x r arithmetic, with no distilled stack, and
+    one eigensolve per block when r > 1.  A dense scan of [0, 1] finds the
+    best point, exact ties going to their middle; its two neighbouring cells
+    are re-scanned on a finer grid until they span at most 1e-8
+    (``bracket_width``).  The refined point then competes with the domain
+    ends, which win ties within ``F_TIE_TOL`` toward the larger kappa
+    (higher success probability).
     """
     n = check_copies(n_copies)
     if isinstance(source, Assemblage):
@@ -239,35 +242,30 @@ def optimize_kappa(
         raise ScenarioMismatchError(
             f"target is {target.scenario.value}, source is {asm.scenario.value}"
         )
-    ref = _target_factor(target or ghz_assemblage(asm.scenario))
+    ref = _target_factor(target or ghz_assemblage(asm.scenario))   # F: (E, d, r)
+    r = ref.shape[-1]
     rows = group_rows(asm.scenario)
     evaluations = 0
 
-    if ref.shape[-1] == 1:
-        # A rank <= 1 target element u u^dag scores sqrt(u^dag sigma u).  With
-        # u0 the entries of u that D = diag(kappa, 1, kappa, 1, ...) scales and
-        # u1 the rest, u^dag D sigma D u = a kappa^2 + b kappa + c and
-        # p = P0 kappa^2 + P1: each kappa costs O(E) arithmetic, no stack.
-        scaled = np.arange(asm.element_dim) % 2 == 0
-        parts = np.stack([scaled, ~scaled])[:, None] * ref[..., 0]   # u0, u1: (2, E, d)
-        m = np.einsum("xei,eij,yej->xye", parts.conj(), asm.stack, parts).real
-        a, b, c = m[0, 0], 2 * m[0, 1], m[1, 1]
-        diag = np.einsum("eii->i", asm.stack[rows[0]]).real
-        p0, p1 = diag[scaled].sum(), diag[~scaled].sum()
-
-        def fidelities(grid):
-            k = grid[:, None]
-            p_fail, _, w_succ = _branch_weights(p0 * k * k + p1, n)
-            w = w_succ * (a * k * k + b * k + c) + p_fail * (a + b + c)
-            return np.sqrt(clamp_spectrum(w[..., None]))[..., 0]   # one spectrum per w: (K, E)
-    else:
-        def fidelities(grid):
-            return fidelity_terms(_distilled(asm.stack, grid, n, asm.scenario), ref)
+    # With F0 the rows of F that D = diag(kappa, 1, kappa, 1, ...) scales and
+    # F1 the rest, F^dag D sigma D F = a kappa^2 + b kappa + c and
+    # p = P0 kappa^2 + P1: a kappa costs E r x r blocks of arithmetic, no stack.
+    scaled = np.arange(asm.element_dim) % 2 == 0
+    m = _sandwich(asm.stack, np.concatenate([scaled[:, None] * ref, ~scaled[:, None] * ref], -1))
+    m = m.real if r == 1 else m   # a 1x1 Hermitian block is real
+    cross = m[:, :r, r:]   # F0^dag sigma F1
+    # flat (E r r,) rows, so that each kappa's arithmetic runs on one row
+    a, b, c = (x.reshape(-1) for x in (m[:, :r, :r], cross + dagger(cross), m[:, r:, r:]))
+    diag = np.einsum("eii->i", asm.stack[rows[0]]).real
+    p0, p1 = diag[scaled].sum(), diag[~scaled].sum()
 
     def scan(grid) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(grid)
-        values = fidelities(grid)[:, rows].sum(axis=2).min(axis=1)
+        k = grid[:, None]
+        p_fail, _, w_succ = _branch_weights(p0 * k * k + p1, n)
+        w = w_succ * (a * k * k + b * k + c) + p_fail * (a + b + c)
+        values = _root_sum(w.reshape(len(grid), -1, r, r))[:, rows].sum(axis=2).min(axis=1)
         if not np.all(np.isfinite(values)):
             raise NonFiniteObjectiveError(
                 f"objective produced NaN or Inf on kappa in [{grid[0]}, {grid[-1]}]"

@@ -22,7 +22,7 @@ from .assemblage import (
     require_valid,
 )
 from .errors import DimMismatchError, ScenarioMismatchError
-from .linalg import _psd_factors, as_matrix, clamp_spectrum, dagger, psd_sqrt, require_psd
+from .linalg import _psd_factors, as_matrix, clamp_spectrum, require_psd
 from .states import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 # Witness coefficients as published (decimals, not presumed exact surds).
@@ -36,43 +36,55 @@ COEFF_2SDI_CORRELATOR = 0.2582
 MARGINAL_SETTING = 2
 
 
-def fidelity_terms(stacks, factors) -> np.ndarray:
-    """Root fidelities Tr sqrt(R^dag sigma R) of (..., E, d, d) stacks against (E, d, r) factors.
+def _sandwich(stacks, factors) -> np.ndarray:
+    """F^dag sigma F (..., E, r, r) of (..., E, d, d) stacks and (E, d, r) factors."""
+    return np.einsum("...ir,...ij,...js->...rs", factors.conj(), stacks, factors)
 
-    R R^dag is the reference element, and R is either its principal root
-    (r = d, used as R^dag) or, for a rank <= 1 element, the column u (r = 1),
-    which gives sqrt(u^dag sigma u) with no eigensolve (Nielsen & Chuang,
-    sec. 9.2.2).  The result has shape (..., E).  Inputs are trusted PSD.
+
+def _root_sum(blocks) -> np.ndarray:
+    """Tr sqrt(m) of each trusted PSD block of a (..., r, r) stack."""
+    if blocks.shape[-1] == 1:   # a 1x1 block is its own spectrum
+        return np.sqrt(clamp_spectrum(blocks[..., 0].real))[..., 0]
+    return np.sqrt(clamp_spectrum(np.linalg.eigvalsh(blocks))).sum(axis=-1)
+
+
+def fidelity_terms(stacks, factors) -> np.ndarray:
+    """Root fidelities Tr sqrt(F^dag sigma F) of (..., E, d, d) stacks against (E, d, r) factors.
+
+    F F^dag is the reference element, and F^dag sigma F has the nonzero
+    spectrum of sqrt(ref) sigma sqrt(ref), so any factor gives the root
+    fidelity: the eigen-factor V sqrt(W), or for a rank <= 1 element its
+    column u (r = 1), which gives sqrt(u^dag sigma u) with no eigensolve
+    (Nielsen & Chuang, sec. 9.2.2).  The result has shape (..., E).  Inputs
+    are trusted PSD.
     """
-    if factors.shape[-1] == 1:
-        w = np.einsum("eir,...eij,ejr->...er", factors.conj(), stacks, factors).real
-    else:
-        m = factors @ stacks @ factors
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return np.sqrt(clamp_spectrum(w)).sum(axis=-1)
+    return _root_sum(_sandwich(stacks, factors))
 
 
 def root_fidelity(sigma, rho) -> float:
     """Tr sqrt( sqrt(sigma) rho sqrt(sigma) ) for equal-dim PSD matrices.
 
-    Symmetric in its arguments and bounded by sqrt(Tr sigma * Tr rho).
+    Symmetric in its arguments and bounded by sqrt(Tr sigma * Tr rho); rho is
+    scored against the eigen-factor V sqrt(W) of sigma.
     """
     a = require_psd(as_matrix(sigma))
     b = require_psd(as_matrix(rho))
     if a.shape != b.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(fidelity_terms(b, psd_sqrt(a)))
+    return float(fidelity_terms(b, _psd_factors(a)[0]))
 
 
 @functools.lru_cache(maxsize=8)
 def _target_factor(target: Assemblage) -> np.ndarray:
-    """Read-only factors R (E, d, r), R R^dag = element, of a target; Assemblage hashes by identity.
+    """Read-only eigen-factors F = V sqrt(W) (E, d, r) of a target; Assemblage hashes by identity.
 
-    R is the column u (r = 1) when every element has rank <= 1, so that
-    ``fidelity_terms`` runs no eigensolve, and the principal root otherwise.
+    Clamped null modes are exact zero columns of F.  When every element has
+    rank <= 1, only the last column u is kept (r = 1), so that
+    ``fidelity_terms`` runs no eigensolve.
     """
-    factors, roots = _psd_factors(target.stack)
-    factor = roots if factors[..., :-1].any() else factors[..., -1:]
+    factor = _psd_factors(target.stack)[0]
+    if not factor[..., :-1].any():
+        factor = factor[..., -1:]
     factor.setflags(write=False)
     return factor
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -151,6 +152,36 @@ class TestSweep:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith(CSV_HEADER)
+
+    def test_csv_lines_come_straight_from_the_row_generator(self, tmp_path):
+        # no list of SweepRow is held next to the lines: 11.1 MiB when one was
+        path = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--steps", "20000", "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 8 * 2**20
+        assert path.read_text().count("\n") == 20001
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_error_in_a_later_block_emits_nothing(self, capsys, tmp_path, fmt, to_file):
+        real = cli._block_rows
+
+        def fail_second_block(thetas, *args):
+            if thetas[0] > 0.1:
+                raise BadArgumentError("second block")
+            return real(thetas, *args)
+
+        path = tmp_path / "sweep.out"
+        argv = ["sweep", "--theta-min", "0.1", "--steps", "300", "--format", fmt]
+        with mock.patch.object(cli, "_block_rows", fail_second_block):
+            code, out, err = run_cli(capsys, argv + (["--out", str(path)] if to_file else []))
+        assert (code, out, err) == (1, "", "error: second block\n")
+        assert not path.exists()
 
     def test_bad_range_fails(self, capsys):
         code, _, err = run_cli(

@@ -355,17 +355,18 @@ class TestOptimizeKappa:
             optimize_kappa(0.3, 2, target=ghz_assemblage(Scenario.TWO_SIDED))
 
     @staticmethod
-    def _factor_widths(monkeypatch, *args, **kwargs):
-        real = distillation.fidelity_terms
-        widths = []
+    def _block_shapes(monkeypatch, *args, **kwargs):
+        real = distillation._root_sum
+        shapes = []
 
-        def spy(stacks, factors):
-            widths.append(factors.shape[-1])
-            return real(stacks, factors)
+        def spy(blocks):
+            shapes.append(blocks.shape[-2:])
+            return real(blocks)
 
-        monkeypatch.setattr(distillation, "fidelity_terms", spy)
-        optimize_kappa(*args, **kwargs)
-        return widths
+        with monkeypatch.context() as scans:
+            scans.setattr(distillation, "_root_sum", spy)
+            optimize_kappa(*args, **kwargs)
+        return shapes
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_ghz_target_builds_no_stack_and_factors_once(self, monkeypatch, scenario):
@@ -395,11 +396,15 @@ class TestOptimizeKappa:
         assert sorted(factorings) == sorted(targets)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_full_rank_target_keeps_square_roots(self, monkeypatch, scenario):
+    def test_target_rank_sets_the_scored_block_size(self, monkeypatch, scenario):
+        # one objective for every target: a full-rank target is scored in
+        # d x d blocks, the rank-one GHZ target in 1 x 1 blocks
+        d = scenario.element_dim
         target = convex_mix([0.9, 0.1], [ghz_assemblage(scenario), white_noise(scenario)])
-        widths = self._factor_widths(monkeypatch, 0.3, 3, target=target, scenario=scenario)
-        assert len(widths) > 1
-        assert set(widths) == {scenario.element_dim}
+        full = self._block_shapes(monkeypatch, 0.3, 3, target=target, scenario=scenario)
+        ghz = self._block_shapes(monkeypatch, 0.3, 3, scenario=scenario)
+        assert len(full) > 1 and set(full) == {(d, d)}
+        assert len(ghz) > 1 and set(ghz) == {(1, 1)}
 
 
 # optimize_kappa output recorded once a rank-one target's scans scored each

@@ -1,8 +1,9 @@
 """Property tests over random inputs: closed form, distillation of GGHZ and
-of general sources, the N-copy branch weights, the two forms of the fidelity
-kernel, the smallest eigenvalue of 2x2 Hermitian matrices behind the PSD
-checks, the kappa optimizer, sweep row cells, JSON round trip, and fuzzes of
-the JSON loader and of the CLI commands that read an assemblage file.
+of general sources, the N-copy branch weights, the fidelity kernel against
+scipy and its two factor widths, the smallest eigenvalue of 2x2 Hermitian
+matrices behind the PSD checks, the kappa optimizer, sweep row cells, JSON
+round trip, and fuzzes of the JSON loader, of the CLI commands that read an
+assemblage file and of the numeric arguments of sweep, threshold and optimize.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples.
@@ -218,15 +219,41 @@ def test_distilled_general_source_is_valid_and_fidelity_bounded(source, kappa, n
     kappa=kappas,
     n=st.integers(2, 8),
 )
-def test_column_factor_kernel_matches_square_root_kernel(source, kappa, n):
+def test_column_factor_kernel_matches_full_eigen_factor(source, kappa, n):
     # Every GHZ target element has rank <= 1, so its eigen-factor has one
     # nonzero column u, and sqrt(u^dag sigma u) is the whole root fidelity.
-    factors, roots = _psd_factors(ghz_assemblage(source.scenario).stack)
+    factors = _psd_factors(ghz_assemblage(source.scenario).stack)[0]
     assert not factors[..., :-1].any()
     stacks = np.stack([source.stack, distill(source, kappa, n).stack])
     by_column = fidelity_terms(stacks, factors[..., -1:])
     assert by_column.shape == (2, len(element_keys(source.scenario)))
-    assert np.max(np.abs(by_column - fidelity_terms(stacks, roots))) <= 1e-12
+    assert np.max(np.abs(by_column - fidelity_terms(stacks, factors))) <= 1e-12
+
+
+def _sqrtm_root_fidelity(sigma, ref):
+    """Sum of sqrt(lambda) over sqrt(sigma) ref sqrt(sigma), its null modes zeroed first."""
+    from scipy.linalg import sqrtm
+
+    root = sqrtm(sigma)
+    w = np.linalg.eigvalsh(root @ ref @ root)
+    return float(np.sqrt(np.where(w < 1e-12 * w.max(), 0.0, w)).sum())
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_eigen_factor_kernel_matches_sqrtm_at_every_reference_rank(seed):
+    # Tr sqrt(F^dag sigma F) with F = V sqrt(W) of the reference, any rank
+    pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    for d in (2, 4, 8):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        sigma = (g @ g.conj().T + d * np.eye(d)) / d   # well-conditioned
+        for rank in range(1, d + 1):
+            h = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            ref = h @ h.conj().T
+            got = fidelity_terms(sigma, _psd_factors(ref)[0])
+            expect = _sqrtm_root_fidelity(sigma, ref)
+            assert abs(got - expect) <= 1e-12 * expect
 
 
 EPS = np.finfo(float).eps
@@ -283,15 +310,20 @@ def test_optimizer_beats_coarse_grid_on_general_source(source, n):
 
 
 @PROPERTY
-@given(theta=thetas, noise=st.floats(0.0, 0.5), n=st.integers(2, 1000), scenario=scenarios)
-def test_optimizer_f_star_is_the_distilled_fidelity_at_kappa_star(theta, noise, n, scenario):
-    # The optimizer scores the rank-one GHZ target from per-element
-    # coefficients; distill and assemblage_fidelity build the stack and take
-    # matrix roots instead.
+@given(theta=thetas, noise=st.floats(0.0, 0.5), target_noise=st.floats(0.0, 0.5),
+       n=st.integers(2, 1000), scenario=scenarios)
+def test_optimizer_f_star_is_the_distilled_fidelity_at_kappa_star(
+    theta, noise, target_noise, n, scenario
+):
+    # The optimizer scores the target from per-element coefficient blocks;
+    # distill and assemblage_fidelity build the stack instead.  A noisy
+    # target has full-rank elements, scored in d x d blocks.
     pure = gghz_assemblage(theta, scenario)
     source = convex_mix([1 - noise, noise], [pure, white_noise(scenario)])
-    res = optimize_kappa(source, n)
-    at_star = assemblage_fidelity(distill(source, res.kappa_star, n), ghz_assemblage(scenario))
+    target = convex_mix([1 - target_noise, target_noise],
+                        [ghz_assemblage(scenario), white_noise(scenario)])
+    res = optimize_kappa(source, n, target=target)
+    at_star = assemblage_fidelity(distill(source, res.kappa_star, n), target)
     assert abs(res.f_star - at_star) <= 1e-13
 
 
@@ -435,3 +467,51 @@ def test_cli_file_fuzz(tmp_path_factory, text):
         elif code == 1:
             assert argv[0] == "validate" and err.startswith(f"{argv[1]}: ")
             assert err.endswith(" violation(s)\n") and json.loads(out)["ok"] is False
+
+
+# Number tokens that argparse's int/float, check_real and check_integer each
+# read differently: NaN, signed zero, subnormal, digit grouping, a non-ASCII
+# digit, hex and Python syntax.
+ARGV_NUMBERS = ["nan", "-0", "5e-324", "1_000", "\uff13", "0x10", "10**22", "inf", "-1", "0.3",
+                "2", "1e308"]
+argv_numbers = st.sampled_from(ARGV_NUMBERS)
+ARGV_SLOTS = {
+    "sweep": ("--theta-min", "--theta-max", "--steps", "--n"),
+    "threshold": ("--n",),
+    "optimize": ("--theta", "--n"),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A sweep, threshold or optimize argv with a drawn token in each numeric slot it sets."""
+    command = draw(st.sampled_from(sorted(ARGV_SLOTS)))
+    kind = draw(st.sampled_from(["none", "asymptotic", "optimal", "fixed:"]))
+    argv = [command]
+    for flag in ARGV_SLOTS[command]:
+        # one optimizer run per point: an optimal sweep keeps the default 50 steps
+        if draw(st.booleans()) and not (flag == "--steps" and kind == "optimal"):
+            argv += [flag, draw(argv_numbers)]
+    if command != "optimize":
+        argv += ["--filter", kind + (draw(argv_numbers) if kind == "fixed:" else "")]
+    return argv
+
+
+@settings(FUZZ, max_examples=200)   # about 1 s
+@given(argv=cli_argvs())
+@example(argv=["sweep", "--steps", "1_000", "--n", "\uff13", "--filter", "fixed:5e-324"])
+@example(argv=["optimize", "--theta", "-0", "--n", "1_000"])
+@example(argv=["threshold", "--n", "10**22", "--filter", "optimal"])
+def test_cli_argv_fuzz(argv):
+    # a result, one diagnostic line, or argparse's usage error; never a NaN
+    try:
+        code, out, err = _run_main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    if code == 0:
+        assert out and err == ""
+        assert "nan" not in out.lower()
+    else:
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
